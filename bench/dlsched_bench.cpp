@@ -13,48 +13,7 @@
 //   dlsched_bench --spec smoke --coordinator 127.0.0.1:7601   # TCP board
 //   dlsched_bench --worker tcp://127.0.0.1:7601               # TCP worker
 //
-// Options:
-//   --out FILE        BENCH JSON artifact (default BENCH_<spec>.json)
-//   --csv FILE        figure-data CSV (default <spec>.csv)
-//   --no-json / --no-csv   suppress an artifact
-//   --cache-dir DIR   result cache (default .dlsched_cache; --no-cache
-//                     disables); overlapping sweeps re-use cached solves
-//   --cache-max-bytes N    LRU-evict the cache down to N bytes post-run
-//   --threads N       solve pool size (0 = hardware concurrency)
-//   --quick           shrink axes (CI smoke: same shape, small grid)
-//   --seed N          override the spec's seed block
-//   --repetitions N   override instances per grid point
-//   --workers N       fork N work-stealing worker processes over the
-//                     shard board in the shared cache dir, then join
-//   --shard i/k       worker role: execute shards with index%k == i and
-//                     publish fragments (grid specs; artifacts via --join)
-//   --join            deterministic merge of published fragments
-//   --stale-seconds S claim heartbeat timeout before a shard is stolen
-//                     (accepted: 0.05 to 3600 seconds)
-//   --coordinator HOST:PORT   own the claim board over TCP; with
-//                     --workers N forks N local TCP workers, with
-//                     --workers auto[:MAX] autoscales them to the
-//                     backlog, alone it waits for external --worker
-//                     processes
-//   --lease-ttl S     shard lease TTL before the coordinator reassigns
-//                     an unrenewed lease (accepted: 0.05 to 3600 seconds)
-//   --trace FILE      record obs spans across every process of the run
-//                     (solve/batch/cache/shard/lease/wire) and merge
-//                     them into one Chrome trace_event JSON timeline --
-//                     load it in Perfetto or about:tracing.  Workers
-//                     ship their spans back automatically (FragmentPush
-//                     trace section on the TCP board, `.part.trace`
-//                     sidecars on the filesystem board); the run summary
-//                     gains a per-phase attribution table and the BENCH
-//                     JSON a "phases" trailer.  Off by default at zero
-//                     recording cost.
-//   --worker tcp://HOST:PORT  run as a remote TCP worker: lease shards,
-//                     solve, stream fragments back (no spec needed;
-//                     options: --worker-id ID, --threads N,
-//                     --scratch-dir DIR, and the chaos hook
-//                     --abandon-after N: after N accepted shards, take
-//                     one more lease and die holding it -- deterministic
-//                     crash-recovery drills)
+// `dlsched_bench --help` prints every option.
 //
 // Replaces the 15 former bench/*.cpp binaries; see README "Running
 // experiments" for the spec -> paper figure table.  The driver itself
@@ -67,10 +26,9 @@
 
 int main(int argc, char** argv) {
   using namespace dlsched;
-  const CliArgs args =
-      CliArgs::parse(argc, argv, experiments::bench_flags());
   try {
-    return experiments::bench_main(args);
+    return experiments::bench_main(
+        CliArgs::parse(argc, argv, experiments::bench_flags()));
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -441,8 +441,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> flags{"list-solvers", "exact", "json", "help"};
   flags.insert(flags.end(), experiments::bench_flags().begin(),
                experiments::bench_flags().end());
-  const CliArgs args = CliArgs::parse(argc, argv, flags);
   try {
+    const CliArgs args = CliArgs::parse(argc, argv, flags);
     if (args.has("help")) return usage(std::cout, 0);
     if (args.has("list-solvers")) return list_solvers();
     if (args.positional().empty()) return usage(std::cerr, 2);

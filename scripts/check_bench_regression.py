@@ -29,12 +29,14 @@ deterministic for a given spec, so any increase over the baseline is a
 code regression -- no tolerance, no calibration.  Disable with
 --no-pivot-check when intentionally changing pivot rules.
 
-The warm-start micros (affine_subset_warm, scenario_lp_warm,
-churn_resolve) are additionally required to report lp_warm_starts >= 1 in
-CURRENT, and affine_subset_warm must spend strictly fewer pivots than its
-affine_subset_cold twin at the same param: a silent cold-path regression
-(seeds never accepted again) keeps wall times plausible while zeroing
-exactly these counters.  Disable with --no-warm-check.
+The subset-scan counters subsets_pruned / subsets_screened are compared
+exactly against the baseline (per-group sums, any difference fails): the
+knapsack-bound pruning and the double-LP screen are deterministic, and a
+change in either count means the scan's work profile changed.  And the
+default subset scan (affine_subset_select) must spend strictly fewer
+pivots than its affine_subset_cold twin (pruning and screening off) at
+the same param: a scan whose pruning or screening silently stopped firing
+keeps wall times plausible while losing exactly this margin.
 
 Exit status: 0 when no group regressed, 1 otherwise, 2 on usage errors.
 """
@@ -59,45 +61,54 @@ def group_key(row):
     return (row.get("solver"), row.get("p"), row.get("z"))
 
 
-def group_pivot_counts(rows):
-    """Group key -> summed lp_pivots.  Reps within a group have distinct
-    seeds, but the set of reps is fixed by the spec, so the per-group sum
-    is deterministic and comparable across runs of the same spec."""
+SCAN_COUNTERS = ("subsets_pruned", "subsets_screened")
+
+
+def group_counter_sums(rows, column):
+    """Group key -> summed `column` over solved rows that carry it."""
     sums = {}
     for row in rows:
-        if row.get("solved") is False or "lp_pivots" not in row:
+        if row.get("solved") is False or column not in row:
             continue
         key = group_key(row)
-        sums[key] = sums.get(key, 0) + int(row["lp_pivots"])
+        sums[key] = sums.get(key, 0) + int(row[column])
     return sums
 
 
-WARM_MICROS = ("affine_subset_warm", "scenario_lp_warm", "churn_resolve")
+def scan_counter_failures(base_rows, cur_rows):
+    """Exact comparison of the pruning / screening counters on the groups
+    both artifacts carry; returns failure strings."""
+    failures = []
+    for column in SCAN_COUNTERS:
+        base = group_counter_sums(base_rows, column)
+        cur = group_counter_sums(cur_rows, column)
+        for key in sorted((k for k in cur if k in base), key=str):
+            if cur[key] != base[key]:
+                failures.append(
+                    f"{key}: {column} {base[key]} -> {cur[key]}")
+    return failures
 
 
-def warm_start_failures(rows):
-    """Warm micros must actually warm-start, and the warm subset scan must
-    strictly beat its cold twin's pivot ledger.  Only fires on specs that
-    carry these benches (micro_substrate); returns failure strings."""
+def cold_twin_failures(rows):
+    """The default subset scan must spend strictly fewer pivots than its
+    affine_subset_cold twin at the same param.  Only fires on specs that
+    carry both benches (micro_substrate); returns failure strings."""
     failures = []
     cold_pivots = {}
     for row in rows:
         if row.get("bench") == "affine_subset_cold" and "lp_pivots" in row:
             cold_pivots[row.get("param")] = int(row["lp_pivots"])
     for row in rows:
-        bench = row.get("bench")
-        if bench not in WARM_MICROS:
+        if row.get("bench") != "affine_subset_select":
             continue
-        key = (bench, row.get("param"))
-        if int(row.get("lp_warm_starts", 0)) < 1:
+        cold = cold_pivots.get(row.get("param"))
+        if cold is None:
+            continue
+        if "lp_pivots" not in row or int(row["lp_pivots"]) >= cold:
             failures.append(
-                f"{key}: lp_warm_starts == 0 (silent cold-path regression)")
-        if bench == "affine_subset_warm":
-            cold = cold_pivots.get(row.get("param"))
-            if cold is not None and int(row.get("lp_pivots", cold)) >= cold:
-                failures.append(
-                    f"{key}: lp_pivots {row.get('lp_pivots')} not strictly "
-                    f"below the cold twin's {cold}")
+                f"('affine_subset_select', {row.get('param')}): lp_pivots "
+                f"{row.get('lp_pivots')} not strictly below the cold "
+                f"twin's {cold}")
     return failures
 
 
@@ -144,9 +155,6 @@ def main():
     parser.add_argument("--no-pivot-check", action="store_true",
                         help="skip the exact lp_pivots comparison (use when "
                              "intentionally changing pivot rules)")
-    parser.add_argument("--no-warm-check", action="store_true",
-                        help="skip the warm-micro lp_warm_starts / "
-                             "pivot-decrease assertions")
     args = parser.parse_args()
 
     base_spec, base_rows = load_rows(args.baseline)
@@ -205,8 +213,10 @@ def main():
 
     pivot_regressions = []
     if not args.no_pivot_check:
-        base_pivots = group_pivot_counts(base_rows)
-        cur_pivots = group_pivot_counts(cur_rows)
+        # Reps within a group have distinct seeds, but the set of reps is
+        # fixed by the spec, so the per-group sum is deterministic.
+        base_pivots = group_counter_sums(base_rows, "lp_pivots")
+        cur_pivots = group_counter_sums(cur_rows, "lp_pivots")
         shared = sorted((k for k in cur_pivots if k in base_pivots), key=str)
         if shared:
             print("\npivot counts (deterministic; current > baseline fails):")
@@ -219,10 +229,11 @@ def main():
                 print(f"  {str(key).ljust(width)}  {base_pivots[key]:>8} -> "
                       f"{cur_pivots[key]:>8}{flag}")
 
-    warm_failures = [] if args.no_warm_check else warm_start_failures(cur_rows)
-    if warm_failures:
-        print(f"\n{len(warm_failures)} warm-micro assertion(s) failed:")
-        for failure in warm_failures:
+    scan_failures = (scan_counter_failures(base_rows, cur_rows) +
+                     cold_twin_failures(cur_rows))
+    if scan_failures:
+        print(f"\n{len(scan_failures)} subset-scan assertion(s) failed:")
+        for failure in scan_failures:
             print(f"  {failure}")
 
     if regressions:
@@ -235,7 +246,7 @@ def main():
               f"pivot count:")
         for key, base, cur in pivot_regressions:
             print(f"  {key}: {base} -> {cur} pivots")
-    if regressions or pivot_regressions or warm_failures:
+    if regressions or pivot_regressions or scan_failures:
         return 1
     print(f"\nno regressions beyond {args.tolerance}x "
           f"({len(current)} group(s) checked)")

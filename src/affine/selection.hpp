@@ -39,11 +39,6 @@ struct AffineSelectionResult {
   /// exact LPs actually solved = tried - pruned - screened.
   std::size_t subsets_screened = 0;
   std::size_t lp_pivots_total = 0;       ///< exact-LP pivots across the scan
-  std::size_t lp_warm_starts = 0;        ///< exact solves with accepted seed
-  /// Pivots avoided by accepted warm starts, measured against the most
-  /// recent cold solve of the same subset size in the chain (LP dimension
-  /// equals enrolled count, so this is a like-for-like yardstick).
-  std::size_t lp_pivots_saved = 0;
   bool feasible = false;                 ///< some subset admitted alpha >= 0
   bool budget_exhausted = false;         ///< stopped early on the time budget
 };
@@ -54,19 +49,12 @@ struct AffineSubsetOptions {
   double time_budget_seconds = 0.0;  ///< 0 = unlimited
   bool use_fast_lp = false;          ///< screen candidates with the double LP
 
-  /// Carry each evaluated subset's alpha support into the next LP of the
-  /// Gray-code walk as a warm-start seed.  Never changes the winner (the
-  /// engines' cold-fallback + uniqueness guarantee makes every warm solve
-  /// bit-identical to its cold twin); only `lp_pivots*` move.  Exact path
-  /// only -- the double screen has no warm start.
-  bool warm_start = true;
-
   /// Skip subsets a one-port knapsack bound proves strictly sub-optimal:
   ///   U(S) = max sum alpha_i  s.t.  sum (c_i+d_i) alpha_i <= 1 - L(S),
   ///                                 0 <= alpha_i <= cap_i,
   /// with cap_i the worker's own chain-row limit -- a relaxation of the
   /// subset's LP, so U(S) >= rho(S).  Also primes the pruning floor by
-  /// solving the p FIFO prefixes (one warm chain) before the scan.  The
+  /// solving the p FIFO prefixes before the scan.  The
   /// bound is evaluated in double with a conservative safety slack and
   /// prunes only subsets *strictly* below the floor, so neither the
   /// winner (ties included) nor the feasible flag ever changes.  Exact
@@ -77,15 +65,15 @@ struct AffineSubsetOptions {
   /// with the double simplex and skip the exact LP when the fast
   /// throughput lands below the incumbent minus the safety margin -- the
   /// same error model (and margin) as `use_fast_lp`, applied inline so
-  /// the warm chain and the exact incumbent keep advancing.  Counted in
+  /// the exact incumbent keeps advancing.  Counted in
   /// `subsets_screened`.  Exact path only; needs a positive incumbent.
   bool screen = true;
 };
 
 /// Exact resource selection: walks every non-empty subset in Gray-code
 /// order over the platform's non-decreasing-c worker order (adjacent
-/// subsets differ by one worker, which is what makes the warm-start chain
-/// tight).  Throws if platform.size() > options.max_workers.  A positive
+/// subsets differ by one worker; the order fixes which of several tied
+/// subsets wins).  Throws if platform.size() > options.max_workers.  A positive
 /// `time_budget_seconds` stops the enumeration early (best-so-far wins,
 /// `budget_exhausted` set).
 ///
@@ -100,7 +88,7 @@ struct AffineSubsetOptions {
     const StarPlatform& platform, const AffineCosts& costs,
     const AffineSubsetOptions& options);
 
-/// Legacy signature; delegates with default warm-start + pruning knobs.
+/// Legacy signature; delegates with the default pruning and screening.
 [[nodiscard]] AffineSelectionResult solve_affine_fifo_best_subset(
     const StarPlatform& platform, const AffineCosts& costs,
     std::size_t max_workers = 12, double time_budget_seconds = 0.0,
@@ -120,10 +108,6 @@ struct AffineLocalSearchOptions {
   std::size_t max_steps = 200;       ///< accepted-move cap
   double time_budget_seconds = 0.0;  ///< 0 = unlimited
   bool use_fast_lp = false;          ///< screen moves with the double LP
-  /// Warm-start every exact move evaluation from the sweep incumbent's
-  /// alpha support (each move differs from the incumbent by at most two
-  /// workers).  Never changes the search trajectory, only pivot counts.
-  bool warm_start = true;
 };
 
 /// Local-search refinement over participant sets: starts from the greedy

@@ -96,8 +96,6 @@ void adopt_selection(const SolveRequest& request, AffineSelectionResult&& result
                      SolveResult& out) {
   out.scenarios_tried = result.subsets_tried;
   out.lp_fallbacks = result.exact_resolves;
-  out.lp_warm_starts = result.lp_warm_starts;
-  out.lp_pivots_saved = result.lp_pivots_saved;
   out.subsets_pruned = result.subsets_pruned;
   out.subsets_screened = result.subsets_screened;
   out.budget_exhausted = result.budget_exhausted;
@@ -159,8 +157,7 @@ class AffineFifoSolver final : public Solver {
       out.lp_fallbacks = 1;
     }
     out.solution = solve_affine_fifo(platform, std::move(participants),
-                                     request.costs, request.warm_alpha);
-    out.lp_warm_starts = out.solution.lp_warm_starts;
+                                     request.costs);
     if (!out.solution.lp_feasible) out.participants.clear();
     finish_affine(request, out);
     if (out.lp_fallbacks > 0) {

@@ -2,12 +2,9 @@
 // running computation (a worker joins, leaves, or slows down).
 //
 // The paper's LPs are solved for a fixed platform; in a deployment the
-// platform drifts.  Re-solving from scratch costs a full Phase I; the
-// pre-churn optimum is a structurally adjacent basis, so `resolve`
-// crash-starts the new FIFO LP from the old solution's alpha support
-// (core/scenario_lp.hpp's `warm_basis_for`) and falls back cold when the
-// seed no longer fits -- the answer is bit-identical to a cold solve
-// either way, only the pivot count moves.
+// platform drifts.  `resolve` applies the churn event and solves the new
+// INC_C FIFO LP from scratch: at p <= 12 a cold exact solve costs a few
+// milliseconds, so there is nothing to gain from reusing the old basis.
 //
 // `execute_stale` quantifies what churn costs when nobody re-solves: the
 // pre-churn loads are replayed on the churned platform by the DES engine
@@ -64,11 +61,8 @@ struct ResolveResult {
 };
 
 /// Re-solves the INC_C FIFO LP after `delta` hits `request.platform`.
-/// `request.warm_alpha` (the pre-churn loads, pre-churn indexing) is
-/// remapped through the index map and used as the warm-start seed; leave
-/// it empty for a cold re-solve.  Honours `request.two_port` and the
-/// request's affine costs.  The warm hint never changes the solution
-/// (`solution.lp_warm_starts` records whether the seed was accepted).
+/// Honours `request.two_port` and the request's affine costs; the result
+/// equals `solve_scenario` on the churned platform exactly.
 [[nodiscard]] ResolveResult resolve(const SolveRequest& request,
                                     const PlatformDelta& delta);
 

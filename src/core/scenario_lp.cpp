@@ -30,16 +30,6 @@ Positions index_positions(const StarPlatform& platform,
 
 }  // namespace
 
-std::vector<std::size_t> warm_basis_for(
-    const std::vector<double>& parent_alpha, const Scenario& child) {
-  std::vector<std::size_t> seed;
-  for (std::size_t k = 0; k < child.send_order.size(); ++k) {
-    const std::size_t w = child.send_order[k];
-    if (w < parent_alpha.size() && parent_alpha[w] > 0.0) seed.push_back(k);
-  }
-  return seed;  // sorted by construction (ascending sigma_1 positions)
-}
-
 lp::LpProblem build_scenario_lp(const StarPlatform& platform,
                                 const Scenario& scenario,
                                 const LpOptions& options) {
@@ -68,9 +58,8 @@ lp::LpProblem build_scenario_lp(const StarPlatform& platform,
   // variables x_i are NOT explicit columns: x_i is exactly the slack of
   // chain row i, and modelling both would put two identical columns in
   // every row -- any optimum with a non-binding chain row would then have
-  // a zero-reduced-cost twin, making every solution non-unique by
-  // construction and defeating the warm-start uniqueness gate.  Callers
-  // recover x_i from the row slack at extraction.
+  // a zero-reduced-cost twin, and the wider tableau would change Bland's
+  // pivot sequence.  Callers recover x_i from the row slack at extraction.
   std::vector<std::size_t> alpha_var(q);
   for (std::size_t k = 0; k < q; ++k) {
     const std::size_t w = scenario.send_order[k];
@@ -139,16 +128,11 @@ ScenarioSolution solve_scenario(const StarPlatform& platform,
                                 const LpOptions& options) {
   const lp::LpProblem problem =
       build_scenario_lp(platform, scenario, options);
-  lp::WarmInfo warm;
   const lp::Solution<Rational> lp_solution =
-      options.warm_basis.empty()
-          ? problem.solve_exact(options.exact_engine)
-          : problem.solve_exact(options.exact_engine,
-                                lp::WarmBasis{options.warm_basis}, &warm);
+      problem.solve_exact(options.exact_engine);
 
   ScenarioSolution out;
   out.scenario = scenario;
-  out.lp_warm_starts = warm.accepted ? 1 : 0;
   if (lp_solution.status == lp::Status::Infeasible) {
     DLSCHED_EXPECT(options.is_affine(),
                    "linear-model scenario LP cannot be infeasible");

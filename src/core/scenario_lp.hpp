@@ -13,11 +13,12 @@
 // The idle variables x_i are pure slack: here they ARE the slack of the
 // chain rows (2a) rather than explicit columns.  Modelling them as columns
 // alongside the solver's own row slacks would duplicate every chain row's
-// slack column, so any optimum with a non-binding chain row would carry a
-// zero-reduced-cost twin and the warm-start uniqueness gate (lp/simplex.hpp)
-// could never accept a seed.  `ScenarioSolution::idle` recovers x_i from
-// the row slack, which also makes idle well-defined at every vertex (the
-// explicit-column formulation splits slack between x_i and s_i arbitrarily).
+// slack column: a wider tableau, a zero-reduced-cost twin at every optimum
+// with a non-binding chain row, and a different Bland pivot sequence (this
+// layout fixes today's tie-breaks and `lp_pivots`).  `ScenarioSolution::idle`
+// recovers x_i from the row slack, which also makes idle well-defined at
+// every vertex (the explicit-column formulation splits slack between x_i
+// and s_i arbitrarily).
 #pragma once
 
 #include <vector>
@@ -39,9 +40,6 @@ struct ScenarioSolution {
   std::vector<Rational> idle;         ///< LP idle variables, same indexing
   Scenario scenario;                  ///< the scenario that was solved
   std::size_t lp_pivots = 0;
-  /// 1 when this solve was warm-started from `LpOptions::warm_basis` and
-  /// the seed was accepted (0 on cold solves and cold fallbacks).
-  std::size_t lp_warm_starts = 0;
   bool lp_feasible = true;            ///< false only with affine constants
 
   /// Workers with alpha > 0 (resource selection outcome).
@@ -74,13 +72,6 @@ struct LpOptions {
   /// the default.
   lp::ExactEngine exact_engine = lp::ExactEngine::Bareiss;
 
-  /// Warm-start seed in this LP's structural-variable space (alpha_k = k
-  /// in sigma_1 position order); empty = cold solve.  Build
-  /// it with `warm_basis_for` from a structurally adjacent solution.  A
-  /// seed never changes the result -- the engines fall back cold whenever
-  /// it does not fit -- it only reduces pivots; the double path ignores it.
-  std::vector<std::size_t> warm_basis;
-
   /// Effective latencies of platform worker `i`.
   [[nodiscard]] double send_latency_for(std::size_t i) const {
     return send_latencies.empty() ? send_latency : send_latencies[i];
@@ -103,17 +94,6 @@ struct LpOptions {
     return false;
   }
 };
-
-/// Warm-start seed for solving `child` on a platform where worker `w`
-/// received load `parent_alpha[w]` in a structurally adjacent solve: the
-/// alpha columns (in `child`'s sigma_1 numbering) of workers with positive
-/// alpha.  Support-based on the *double* representation deliberately, so a
-/// seed derived from a fresh exact solution and one derived from its cached
-/// double form agree bit-for-bit -- warm pivot counts stay invariant across
-/// cache states and execution modes.  Workers absent from `parent_alpha`
-/// (platform grew) are simply not seeded.
-[[nodiscard]] std::vector<std::size_t> warm_basis_for(
-    const std::vector<double>& parent_alpha, const Scenario& child);
 
 /// Builds the LP for a scenario (exact rational coefficients taken from the
 /// platform's doubles losslessly).  Exposed separately so tests and

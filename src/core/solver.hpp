@@ -62,17 +62,6 @@ struct SolveRequest {
   std::size_t local_search_restarts = 3;
   std::size_t local_search_max_steps = 200;
   std::size_t max_rounds = 8;      ///< multiround sweep upper bound
-
-  /// Warm-start hint: platform-indexed alpha values of a structurally
-  /// adjacent request's solution (a neighboring axis cell in a sweep, the
-  /// pre-churn platform, ...).  Exact-LP solvers crash-start from the
-  /// hint's support; everything else ignores it.  The hint is
-  /// *non-semantic*: the LP engines' cold-fallback + uniqueness guarantee
-  /// makes hinted and unhinted solves bit-identical in everything but
-  /// pivot counts, so this field is deliberately EXCLUDED from
-  /// `request_canonical_key` -- a cache entry computed cold answers a
-  /// hinted request, and vice versa.
-  std::vector<double> warm_alpha;
 };
 
 /// What every solver returns: the solution in the common `ScenarioSolution`
@@ -123,13 +112,6 @@ struct SolveResult {
   /// result that failed validation / replay and fell back to exact.
   std::size_t lp_fallbacks = 0;
 
-  /// Warm-started exact LP solves whose seeded basis was accepted (crash
-  /// succeeded and the warm optimum stood; cold fallbacks do not count).
-  std::size_t lp_warm_starts = 0;
-  /// Pivots avoided by accepted warm starts, measured against the most
-  /// recent cold solve of the same warm chain (a deterministic proxy: the
-  /// true counterfactual would require solving everything twice).
-  std::size_t lp_pivots_saved = 0;
   /// Subset candidates skipped by the monotone throughput upper bound in
   /// the affine subset scan (provably unable to beat the incumbent).
   std::size_t subsets_pruned = 0;

@@ -238,13 +238,55 @@ int run_one(ExperimentSpec spec, const CliArgs& args,
   return summary.failures == 0 ? 0 : 1;
 }
 
+/// `--help`: the whole flag list, one entry per option.
+int bench_usage() {
+  std::cout <<
+      "usage: dlsched_bench --spec NAME | --spec-file FILE | --all\n"
+      "                     | --list-specs | --list-generators\n"
+      "                     | --cache-stats [--cache-dir DIR]\n"
+      "                     | --worker tcp://HOST:PORT | --help\n"
+      "\n"
+      "run options:\n"
+      "  --out FILE        BENCH JSON artifact (default BENCH_<spec>.json)\n"
+      "  --csv FILE        figure-data CSV (default <spec>.csv)\n"
+      "  --no-json / --no-csv   suppress an artifact\n"
+      "  --cache-dir DIR   result cache (default .dlsched_cache)\n"
+      "  --no-cache        solve everything, store nothing\n"
+      "  --cache-max-bytes N    LRU-evict the cache down to N bytes "
+      "post-run\n"
+      "  --threads N       solve pool size (0 = hardware concurrency)\n"
+      "  --quick           shrink axes (same shape, small grid)\n"
+      "  --seed N          override the spec's seed block\n"
+      "  --repetitions N   override instances per grid point\n"
+      "  --filter AXIS=V[|V],...  run one slice of the grid "
+      "(e.g. p=4,solver=lifo)\n"
+      "  --trace FILE      record spans across every process of the run "
+      "and\n"
+      "                    merge them into one Chrome trace_event JSON\n"
+      "distributed runs:\n"
+      "  --workers N       fork N work-stealing workers over the shard "
+      "board\n"
+      "  --shard i/k       execute shards with index % k == i, publish "
+      "fragments\n"
+      "  --join            merge published fragments deterministically\n"
+      "  --stale-seconds S claim heartbeat timeout (0.05 to 3600)\n"
+      "  --coordinator HOST:PORT   own the claim board over TCP; with\n"
+      "                    --workers N|auto[:MAX] fork local TCP workers\n"
+      "  --lease-ttl S     TCP lease TTL before reassignment "
+      "(0.05 to 3600)\n"
+      "  --worker tcp://HOST:PORT  lease shards from a coordinator;\n"
+      "                    with --worker-id ID, --threads N,\n"
+      "                    --scratch-dir DIR, --abandon-after N\n";
+  return 0;
+}
+
 }  // namespace
 
 const std::vector<std::string>& bench_flags() {
   static const std::vector<std::string>* flags = new std::vector<std::string>{
       "list-specs", "list-generators", "all",     "quick",
       "no-cache",   "no-json",         "no-csv",  "cache-stats",
-      "join"};
+      "join",       "help"};
   return *flags;
 }
 
@@ -252,6 +294,7 @@ int bench_main(const CliArgs& args) {
   // Stamp the run epoch and start the tracer before any spec parsing so
   // the root span (and wall_seconds) covers parse + plan time.
   const auto run_epoch = std::chrono::steady_clock::now();
+  if (args.has("help")) return bench_usage();
   if (args.get("trace")) obs::Tracer::instance().enable("bench");
   if (const auto endpoint = args.get("worker")) {
     return run_worker_mode(args, *endpoint);
@@ -279,7 +322,8 @@ int bench_main(const CliArgs& args) {
     return run_one(find_builtin_spec(*name), args, run_epoch);
   }
   std::cerr << "bench needs --spec NAME, --spec-file FILE, --all, "
-               "--list-specs, --list-generators or --cache-stats\n";
+               "--list-specs, --list-generators or --cache-stats "
+               "(--help lists every option)\n";
   return 2;
 }
 

@@ -17,7 +17,7 @@ namespace dlsched::experiments {
 [[nodiscard]] const std::vector<std::string>& bench_flags();
 
 /// Runs one bench invocation from parsed arguments:
-///   --list-specs | --list-generators | --all |
+///   --help | --list-specs | --list-generators | --all |
 ///   --spec NAME | --spec-file FILE
 ///   [--out FILE] [--csv FILE] [--no-json] [--no-csv]
 ///   [--cache-dir DIR] [--no-cache] [--cache-max-bytes N]

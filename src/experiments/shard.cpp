@@ -71,11 +71,10 @@ std::vector<CompiledShard> plan_shards(const ExperimentSpec& spec) {
   // spec), which is what lets work stealing actually balance the grid.
   // The latency axes fold *inside* each shard as cells -- one generated
   // platform spans the whole latency surface (isolating the latency
-  // effect), and walking the cells in order gives the warm-start chain
-  // its structurally adjacent LPs.  Planner order is the nested loop
-  // order (p, then z, then rep; cells: send latency, then return
-  // latency), so concatenating shard outputs in planner order reproduces
-  // a single-process run's artifacts byte for byte.
+  // effect).  Planner order is the nested loop order (p, then z, then
+  // rep; cells: send latency, then return latency), so concatenating
+  // shard outputs in planner order reproduces a single-process run's
+  // artifacts byte for byte.
   std::vector<CompiledShard> shards;
   shards.reserve(p_axis.size() * z_axis.size() * spec.repetitions);
   for (const auto& p : p_axis) {
@@ -187,27 +186,15 @@ ShardResult execute_shard(const ExperimentSpec& spec,
   result.index = shard.index;
   const CacheStats before = cache.stats;
 
-  // Each solver's solved alpha from the previous cell, carried into its
-  // next-cell request as the warm-start seed.  The hint comes from the
-  // cached record on a hit and from the fresh solution on a miss --
-  // `CachedSolve::alpha` round-trips bit-exactly, so the chain (and with
-  // it every emitted counter) is independent of the cache state.
-  std::map<std::string, std::vector<double>> prev_alpha;
-
   for (const GridCell& cell : shard.cells) {
     result.jobs += cell.slots.size();
     result.skipped += cell.skipped;
 
     // ----- cache pass, then one thread-pooled batch over the misses -------
-    // Keys are computed from the unhinted request; `warm_alpha` is
-    // excluded from the canonical serialization, so hinted and unhinted
-    // solves of the same job share one cache entry.
     std::vector<CachedSolve> solves(cell.slots.size());
-    std::vector<SolveRequest> hinted;  // stable storage for the views
     std::vector<BatchJobView> views;
     std::vector<std::size_t> view_slot;
     std::vector<std::pair<std::string, std::string>> view_keys;  // hash, key
-    hinted.reserve(cell.slots.size());
     for (std::size_t i = 0; i < cell.slots.size(); ++i) {
       const GridSlot& slot = cell.slots[i];
       const std::string key = job_canonical_key(slot.solver, cell.request);
@@ -217,13 +204,7 @@ ShardResult execute_shard(const ExperimentSpec& spec,
         ++result.cache_hits;
         continue;
       }
-      SolveRequest request = cell.request;
-      if (const auto it = prev_alpha.find(slot.solver);
-          it != prev_alpha.end()) {
-        request.warm_alpha = it->second;
-      }
-      hinted.push_back(std::move(request));
-      views.push_back({slot.solver, &hinted.back()});
+      views.push_back({slot.solver, &cell.request});
       view_slot.push_back(i);
       view_keys.emplace_back(hash, key);
     }
@@ -247,11 +228,6 @@ ShardResult execute_shard(const ExperimentSpec& spec,
         ++result.deduped;
       } else {
         ++result.solved;  // stored by the checkpoint hook already
-      }
-    }
-    for (std::size_t i = 0; i < cell.slots.size(); ++i) {
-      if (solves[i].solved && !solves[i].alpha.empty()) {
-        prev_alpha[cell.slots[i].solver] = solves[i].alpha;
       }
     }
 

@@ -232,7 +232,7 @@ std::vector<ExperimentSpec> make_builtins() {
   {
     ExperimentSpec spec = base(
         "churn_surface",
-        "platform churn: warm vs cold re-solve latency and throughput "
+        "platform churn: re-solve latency, pivots and throughput "
         "retention across chained join/leave/slowdown events",
         "Section 6 (extended)", SpecKind::Churn);
     spec.generator = "random_star";

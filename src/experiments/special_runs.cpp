@@ -535,7 +535,7 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
   // `counters`, when given, is filled by the body (last repeat wins --
   // every repeat solves the same deterministic instance) and lands as
   // extra per-row JSON keys, so the regression checker can gate on solver
-  // work (pivot counts, accepted warm starts) and not just wall time.
+  // work (pivot counts, pruned / screened subsets) and not just wall time.
   const auto bench = [&](const std::string& name, std::size_t param,
                          const std::function<void()>& body,
                          const std::map<std::string, std::uint64_t>*
@@ -737,9 +737,17 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
        options.quick ? std::vector<std::size_t>{4}
                      : std::vector<std::size_t>{4, 8, 12}) {
     const StarPlatform platform = platform_for(p);
-    bench("affine_subset_select", p, [&] {
-      (void)affine::solve_affine_fifo_best_subset(platform, affine_costs);
-    });
+    std::map<std::string, std::uint64_t> counters;
+    bench(
+        "affine_subset_select", p,
+        [&] {
+          const affine::AffineSelectionResult result =
+              affine::solve_affine_fifo_best_subset(platform, affine_costs);
+          counters["lp_pivots"] = result.lp_pivots_total;
+          counters["subsets_pruned"] = result.subsets_pruned;
+          counters["subsets_screened"] = result.subsets_screened;
+        },
+        &counters);
   }
   // The Precision::Fast substrate: the double-precision affine FIFO LP and
   // the fast-screened subset enumeration (double LP per candidate, exact
@@ -762,64 +770,27 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
           /*time_budget_seconds=*/0.0, /*use_fast_lp=*/true);
     });
   }
-  // The warm-start substrate: the Gray-code subset chain with and without
-  // basis reuse (counters expose the pivot ledger), an optimal-basis warm
-  // re-solve of the plain FIFO LP (the grid's axis-step reuse in
-  // miniature), and the churn re-solve entry point.
+  // The same scan with pruning and screening off: the pivot yardstick
+  // the default affine_subset_select must stay strictly below.
   for (const std::size_t p :
        options.quick ? std::vector<std::size_t>{4}
                      : std::vector<std::size_t>{8, 12}) {
     const StarPlatform platform = platform_for(p);
-    std::map<std::string, std::uint64_t> warm_counters;
-    bench(
-        "affine_subset_warm", p,
-        [&] {
-          const affine::AffineSelectionResult result =
-              affine::solve_affine_fifo_best_subset(platform, affine_costs,
-                                                    affine::AffineSubsetOptions{});
-          warm_counters["lp_pivots"] = result.lp_pivots_total;
-          warm_counters["lp_warm_starts"] = result.lp_warm_starts;
-          warm_counters["lp_pivots_saved"] = result.lp_pivots_saved;
-          warm_counters["subsets_pruned"] = result.subsets_pruned;
-          warm_counters["subsets_screened"] = result.subsets_screened;
-        },
-        &warm_counters);
-    std::map<std::string, std::uint64_t> cold_counters;
+    std::map<std::string, std::uint64_t> counters;
     bench(
         "affine_subset_cold", p,
         [&] {
           affine::AffineSubsetOptions subset_options;
-          subset_options.warm_start = false;
           subset_options.prune = false;
           subset_options.screen = false;
           const affine::AffineSelectionResult result =
               affine::solve_affine_fifo_best_subset(platform, affine_costs,
                                                     subset_options);
-          cold_counters["lp_pivots"] = result.lp_pivots_total;
-        },
-        &cold_counters);
-  }
-  for (const std::size_t p :
-       options.quick ? std::vector<std::size_t>{4}
-                     : std::vector<std::size_t>{4, 8, 12}) {
-    const StarPlatform platform = platform_for(p);
-    const Scenario scenario = Scenario::fifo(platform.order_by_c());
-    const ScenarioSolution cold = solve_scenario(platform, scenario);
-    const std::vector<double> alpha = cold.alpha_double();
-    std::map<std::string, std::uint64_t> counters;
-    bench(
-        "scenario_lp_warm", p,
-        [&] {
-          LpOptions lp_options;
-          lp_options.warm_basis = warm_basis_for(alpha, scenario);
-          const ScenarioSolution warm =
-              solve_scenario(platform, scenario, lp_options);
-          counters["lp_pivots"] = warm.lp_pivots;
-          counters["lp_warm_starts"] = warm.lp_warm_starts;
-          counters["cold_lp_pivots"] = cold.lp_pivots;
+          counters["lp_pivots"] = result.lp_pivots_total;
         },
         &counters);
   }
+  // The churn re-solve entry point.
   for (const std::size_t p : options.quick ? std::vector<std::size_t>{4}
                                            : std::vector<std::size_t>{8,
                                                                       12}) {
@@ -827,10 +798,6 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
     SolveRequest request;
     request.platform = platform;
     request.costs = affine_costs;
-    const Scenario scenario = Scenario::fifo(platform.order_by_c());
-    const ScenarioSolution base =
-        solve_scenario(platform, scenario, affine_costs.lp_options());
-    request.warm_alpha = base.alpha_double();
     const PlatformDelta delta = PlatformDelta::slowdown(p / 2, 1.5);
     std::map<std::string, std::uint64_t> counters;
     bench(
@@ -838,7 +805,6 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
         [&] {
           const ResolveResult result = resolve(request, delta);
           counters["lp_pivots"] = result.solution.lp_pivots;
-          counters["lp_warm_starts"] = result.solution.lp_warm_starts;
         },
         &counters);
   }
@@ -881,20 +847,16 @@ void run_churn(const ExperimentSpec& spec, const RunOptions& options,
 
   const std::vector<std::string> header{
       "p",           "rep",         "event",     "kind",
-      "warm_wall_seconds", "cold_wall_seconds", "warm_pivots",
-      "cold_pivots", "retention"};
+      "cold_wall_seconds", "cold_pivots", "retention"};
   std::optional<CsvWriter> csv_writer;
   if (csv) csv_writer.emplace(*csv, header);
-  Table table({"p", "events", "warm_accepted", "mean_warm_wall_seconds",
-               "mean_cold_wall_seconds", "pivots_saved", "mean_retention"});
+  Table table({"p", "events", "mean_cold_wall_seconds", "mean_cold_pivots",
+               "mean_retention"});
   table.set_precision(6);
 
   for (const std::size_t p : p_values) {
-    Accumulator warm_wall, cold_wall, retention_acc;
+    Accumulator cold_wall, cold_pivots, retention_acc;
     std::size_t events = 0;
-    std::size_t warm_accepted = 0;
-    std::size_t warm_pivots_sum = 0;
-    std::size_t cold_pivots_sum = 0;
     for (std::size_t rep = 0; rep < spec.repetitions; ++rep) {
       Rng rng(spec.seed + 7919 * p + rep);
       SolveRequest request;
@@ -904,7 +866,6 @@ void run_churn(const ExperimentSpec& spec, const RunOptions& options,
       ScenarioSolution current = solve_scenario(
           request.platform, Scenario::fifo(request.platform.order_by_c()),
           costs.lp_options());
-      std::vector<double> alpha = current.alpha_double();
       ++summary.jobs;
       ++summary.solved;
       for (std::size_t e = 0; e < spec.churn_events; ++e) {
@@ -939,33 +900,20 @@ void run_churn(const ExperimentSpec& spec, const RunOptions& options,
           }
         }
 
-        request.warm_alpha = alpha;
-        const auto warm_t = steady_clock::now();
-        const ResolveResult warm = resolve(request, delta);
-        const double warm_seconds = elapsed_since(warm_t);
-        SolveRequest cold_request = request;
-        cold_request.warm_alpha.clear();
         const auto cold_t = steady_clock::now();
-        const ResolveResult cold = resolve(cold_request, delta);
+        ResolveResult cold = resolve(request, delta);
         const double cold_seconds = elapsed_since(cold_t);
-        // The warm hint must never move the answer -- only the pivots.
-        DLSCHED_EXPECT(
-            warm.solution.throughput == cold.solution.throughput,
-            "churn: warm re-solve diverged from the cold re-solve");
 
-        const ChurnedPlatform churned{warm.platform, warm.old_to_new,
-                                      warm.costs};
-        const StaleExecution stale =
-            execute_stale(churned, alpha, current.scenario);
-        const double rho = warm.solution.throughput.to_double();
+        const ChurnedPlatform churned{cold.platform, cold.old_to_new,
+                                      cold.costs};
+        const StaleExecution stale = execute_stale(
+            churned, current.alpha_double(), current.scenario);
+        const double rho = cold.solution.throughput.to_double();
         const double retention = rho > 0.0 ? stale.rate / rho : 0.0;
 
         ++events;
-        warm_accepted += warm.solution.lp_warm_starts;
-        warm_pivots_sum += warm.solution.lp_pivots;
-        cold_pivots_sum += cold.solution.lp_pivots;
-        warm_wall.add(warm_seconds);
         cold_wall.add(cold_seconds);
+        cold_pivots.add(static_cast<double>(cold.solution.lp_pivots));
         retention_acc.add(retention);
         ++summary.jobs;
         ++summary.solved;
@@ -975,9 +923,7 @@ void run_churn(const ExperimentSpec& spec, const RunOptions& options,
               .cell(rep)
               .cell(e)
               .cell(std::string(delta.kind_name()))
-              .cell(warm_seconds)
               .cell(cold_seconds)
-              .cell(warm.solution.lp_pivots)
               .cell(cold.solution.lp_pivots)
               .cell(retention);
           csv_writer->end_row();
@@ -989,40 +935,32 @@ void run_churn(const ExperimentSpec& spec, const RunOptions& options,
                   .add("rep", rep)
                   .add("event", e)
                   .add("kind", delta.kind_name())
-                  .add("workers", warm.platform.size())
-                  .add("warm_wall_seconds", warm_seconds)
+                  .add("workers", cold.platform.size())
                   .add("cold_wall_seconds", cold_seconds)
-                  .add("warm_pivots", warm.solution.lp_pivots)
                   .add("cold_pivots", cold.solution.lp_pivots)
-                  .add("lp_warm_starts", warm.solution.lp_warm_starts)
                   .add("throughput", rho)
                   .add("stale_rate", stale.rate)
                   .add("retention", retention));
           ++summary.rows;
         }
 
-        // The chain advances on the churned platform: the warm solution
-        // becomes the next event's running computation.
-        request.platform = warm.platform;
-        request.costs = warm.costs;
-        current = warm.solution;
-        alpha = current.alpha_double();
+        // The chain advances on the churned platform: the re-solved
+        // optimum becomes the next event's running computation.
+        request.platform = std::move(cold.platform);
+        request.costs = std::move(cold.costs);
+        current = std::move(cold.solution);
       }
     }
     table.begin_row()
         .cell(p)
         .cell(events)
-        .cell(warm_accepted)
-        .cell(warm_wall.mean())
         .cell(cold_wall.mean())
-        .cell(cold_pivots_sum > warm_pivots_sum
-                  ? cold_pivots_sum - warm_pivots_sum
-                  : 0)
+        .cell(cold_pivots.mean())
         .cell(retention_acc.mean());
   }
   table.print_aligned(log);
-  log << "expected: warm re-solves match cold bit for bit with fewer "
-         "pivots; retention < 1 is the throughput lost by not re-solving\n";
+  log << "expected: retention < 1 is the throughput lost by not "
+         "re-solving\n";
 }
 
 }  // namespace dlsched::experiments::detail

@@ -43,9 +43,9 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
                BenchJsonWriter* json, std::ostream* csv, RunSummary& summary,
                std::ostream& log);
 
-/// Platform churn surface: per chained join/leave/slowdown event, the warm
-/// vs cold re-solve wall and pivot counts (bit-identical solutions) and
-/// the stale-schedule throughput retention from the DES replay.
+/// Platform churn surface: per chained join/leave/slowdown event, the cold
+/// re-solve wall and pivot count and the stale-schedule throughput
+/// retention from the DES replay.
 void run_churn(const ExperimentSpec& spec, const RunOptions& options,
                BenchJsonWriter* json, std::ostream* csv, RunSummary& summary,
                std::ostream& log);

@@ -1,6 +1,5 @@
 #include "lp/bareiss.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/error.hpp"
@@ -43,47 +42,7 @@ BareissSimplex::BareissSimplex(const DenseLp<Rational>& lp) : lp_(lp) {
 }
 
 Solution<Rational> BareissSimplex::solve() {
-  return solve_internal(nullptr, nullptr);
-}
-
-Solution<Rational> BareissSimplex::solve(const WarmBasis& seed,
-                                         WarmInfo* info) {
-  return solve_internal(&seed, info);
-}
-
-Solution<Rational> BareissSimplex::solve_internal(const WarmBasis* seed,
-                                                  WarmInfo* info) {
   pivots_ = 0;
-  if (seed != nullptr && !seed->structurals.empty()) {
-    if (info != nullptr) info->attempted = true;
-    build_tableau();
-    if (try_crash(*seed)) {
-      if (info != nullptr) info->crash_ok = true;
-      const std::size_t crash_pivots = pivots_;
-      if (!run_phase(/*phase1=*/false)) {
-        // Unboundedness is an instance property; the cold path agrees.
-        if (info != nullptr) {
-          info->accepted = true;
-          info->crash_pivots = crash_pivots;
-        }
-        Solution<Rational> out;
-        out.status = Status::Unbounded;
-        out.pivots = pivots_;
-        return out;
-      }
-      if (optimum_is_unique()) {
-        if (info != nullptr) {
-          info->accepted = true;
-          info->crash_pivots = crash_pivots;
-        }
-        return extract_optimal();
-      }
-    }
-  }
-  return solve_cold();
-}
-
-Solution<Rational> BareissSimplex::solve_cold() {
   build_tableau();
   Solution<Rational> out;
   if (has_artificials_) {
@@ -116,76 +75,10 @@ Solution<Rational> BareissSimplex::extract_optimal() {
       // pivoted still carry the initial factor `d0` on top.
       out.values[basis_[i]] =
           Rational(rhs_[i], pivoted_rows_[i] ? den_ : d0_ * den_);
-      out.basic_structurals.push_back(basis_[i]);
     }
   }
-  std::sort(out.basic_structurals.begin(), out.basic_structurals.end());
   fill_row_activity(out);
   return out;
-}
-
-// Mirrors Simplex<Rational>::try_crash decision-for-decision (see the
-// rationale there: ratio-test entry keeps every crash pivot primal
-// feasible).  Every comparison here is a sign test or cross-multiplied
-// ratio on scaled entries; all row scales are positive, so the chosen
-// pivot sequence is identical to the rational engine's.
-bool BareissSimplex::try_crash(const WarmBasis& seed) {
-  // The reduced-cost row is not live during the crash (run_phase reloads
-  // it); crash pivots skip the objective-row update just like expulsion.
-  std::vector<std::size_t> order = seed.structurals;
-  std::sort(order.begin(), order.end());
-  for (std::size_t col : order) {
-    if (col >= lp_.num_vars) return false;  // malformed seed
-    bool already_basic = false;
-    for (std::size_t b : basis_) {
-      if (b == col) {
-        already_basic = true;
-        break;
-      }
-    }
-    if (already_basic) continue;
-    // Min-ratio leaving row with Bland tie-break, by cross-multiplication
-    // exactly as in run_phase (the per-row scale cancels on both sides).
-    std::size_t leaving = tab_.size();
-    for (std::size_t i = 0; i < tab_.size(); ++i) {
-      const BigInt& coeff = tab_[i][col];
-      if (!coeff.is_positive()) continue;
-      if (leaving == tab_.size()) {
-        leaving = i;
-        continue;
-      }
-      const BigInt lhs = rhs_[i] * tab_[leaving][col];
-      const BigInt rhs = rhs_[leaving] * coeff;
-      const int cmp = lhs.compare(rhs);
-      if (cmp < 0 || (cmp == 0 && basis_[i] < basis_[leaving])) {
-        leaving = i;
-      }
-    }
-    if (leaving == tab_.size()) return false;  // column cannot enter
-    pivot(leaving, col, /*update_objective_row=*/false);
-  }
-  // A displaced seeded column stays out (one pass, no retries): that is
-  // how an infeasible seed manifests under feasibility-preserving pivots.
-  std::vector<bool> basic(forbidden_.size(), false);
-  for (std::size_t b : basis_) basic[b] = true;
-  for (std::size_t col : order) {
-    if (!basic[col]) return false;
-  }
-  for (std::size_t i = 0; i < tab_.size(); ++i) {
-    if (rhs_[i].is_negative()) return false;  // exactness tripwire
-    if (basis_[i] >= first_artificial_ && !rhs_[i].is_zero()) return false;
-  }
-  if (has_artificials_) expel_basic_artificials();
-  return true;
-}
-
-bool BareissSimplex::optimum_is_unique() const {
-  std::vector<bool> basic(reduced_.size(), false);
-  for (std::size_t b : basis_) basic[b] = true;
-  for (std::size_t j = 0; j < first_artificial_; ++j) {
-    if (!basic[j] && reduced_[j].is_zero()) return false;
-  }
-  return true;
 }
 
 void BareissSimplex::build_tableau() {

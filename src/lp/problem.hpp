@@ -57,13 +57,6 @@ class LpProblem {
   /// bit-identical solutions; Bareiss skips the per-entry gcd reductions.
   [[nodiscard]] Solution<Rational> solve_exact(
       ExactEngine engine = ExactEngine::Bareiss) const;
-  /// Warm-started exact solve, seeded with the optimal basis of a
-  /// structurally adjacent LP.  Falls back to the cold path when the seed
-  /// does not fit this instance, so the answer (everything except
-  /// `pivots`) is bit-identical to `solve_exact(engine)`.
-  [[nodiscard]] Solution<Rational> solve_exact(ExactEngine engine,
-                                               const WarmBasis& seed,
-                                               WarmInfo* info = nullptr) const;
   /// Approximate solve over doubles (same algorithm, tolerance 1e-9).
   [[nodiscard]] Solution<double> solve_double() const;
 

@@ -10,7 +10,6 @@
 // Rows with negative b are flipped on entry, so any sign of b is accepted.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -32,36 +31,10 @@ enum class Status { Optimal, Infeasible, Unbounded };
   return "?";
 }
 
-/// Warm-start seed: the structural variables that were basic at the optimum
-/// of a structurally *adjacent* LP (same variable layout, perturbed data --
-/// one worker added or dropped, a cost nudged).  Indices must be unique and
-/// refer to structural variables only; order is irrelevant.  A seed is a
-/// hint, never a contract: if it is singular or infeasible for the new
-/// instance, or if the warm optimum is not provably unique, the solve falls
-/// back to the cold path, so seeded and unseeded solves always agree.
-struct WarmBasis {
-  std::vector<std::size_t> structurals;
-};
-
-/// Accounting for one warm-started solve attempt.
-struct WarmInfo {
-  bool attempted = false;     ///< a non-empty seed was supplied
-  /// The crash refactorization produced a feasible basis.  False means the
-  /// seed was infeasible (or singular) in this instance -- e.g. a platform
-  /// churn event tightened a row past the seeded vertex -- and the solve
-  /// fell back cold immediately.
-  bool crash_ok = false;
-  bool accepted = false;      ///< crash succeeded and the warm result stands
-  std::size_t crash_pivots = 0;  ///< refactorization pivots spent crashing
-};
-
 /// Result of a solve.  `values` has one entry per structural variable,
 /// `row_activity` one per constraint (the value of the row's linear form),
 /// and `tight` marks constraints satisfied with equality at the optimum --
 /// used to verify the vertex property of the paper's Lemma 1.
-/// `basic_structurals` (sorted) is the warm-start seed for a neighboring
-/// LP; it is advisory and excluded from the warm/cold differential
-/// guarantee (a degenerate vertex admits several bases for one optimum).
 template <class T>
 struct Solution {
   Status status = Status::Infeasible;
@@ -69,7 +42,6 @@ struct Solution {
   std::vector<T> values;
   std::vector<T> row_activity;
   std::vector<bool> tight;
-  std::vector<std::size_t> basic_structurals;
   std::size_t pivots = 0;
 };
 
@@ -130,56 +102,8 @@ class Simplex {
                    "objective width does not match variable count");
   }
 
-  [[nodiscard]] Solution<T> solve() { return solve_internal(nullptr, nullptr); }
-
-  /// Warm-started solve: crash the seeded basis with one refactorization
-  /// instead of a cold Phase I, then run Bland Phase II.  Falls back to the
-  /// cold path (and keeps the wasted crash pivots in the count -- `pivots`
-  /// reports work done, not cold-path distance) whenever the seed is
-  /// singular/infeasible for this instance or the warm optimum cannot be
-  /// proven unique, so status/objective/values/row_activity/tight are
-  /// bit-identical to an unseeded solve; only `pivots` may differ.
-  [[nodiscard]] Solution<T> solve(const WarmBasis& seed,
-                                  WarmInfo* info = nullptr) {
-    return solve_internal(&seed, info);
-  }
-
- private:
-  using P = ScalarPolicy<T>;
-
-  Solution<T> solve_internal(const WarmBasis* seed, WarmInfo* info) {
+  [[nodiscard]] Solution<T> solve() {
     pivots_ = 0;
-    if (seed != nullptr && !seed->structurals.empty()) {
-      if (info != nullptr) info->attempted = true;
-      build_tableau();
-      if (try_crash(*seed)) {
-        if (info != nullptr) info->crash_ok = true;
-        const std::size_t crash_pivots = pivots_;
-        if (!run_phase(/*phase1=*/false)) {
-          // Unboundedness is a property of the (feasible) instance, not of
-          // the starting vertex; the cold path would report it too.
-          if (info != nullptr) {
-            info->accepted = true;
-            info->crash_pivots = crash_pivots;
-          }
-          Solution<T> out;
-          out.status = Status::Unbounded;
-          out.pivots = pivots_;
-          return out;
-        }
-        if (optimum_is_unique()) {
-          if (info != nullptr) {
-            info->accepted = true;
-            info->crash_pivots = crash_pivots;
-          }
-          return extract_optimal();
-        }
-      }
-    }
-    return solve_cold();
-  }
-
-  Solution<T> solve_cold() {
     build_tableau();
     Solution<T> out;
     if (has_artificials_) {
@@ -200,6 +124,9 @@ class Simplex {
     return extract_optimal();
   }
 
+ private:
+  using P = ScalarPolicy<T>;
+
   Solution<T> extract_optimal() {
     Solution<T> out;
     out.status = Status::Optimal;
@@ -209,89 +136,10 @@ class Simplex {
     for (std::size_t i = 0; i < basis_.size(); ++i) {
       if (basis_[i] < lp_.num_vars) {
         out.values[basis_[i]] = rhs_[i];
-        out.basic_structurals.push_back(basis_[i]);
       }
     }
-    std::sort(out.basic_structurals.begin(), out.basic_structurals.end());
     fill_row_activity(out);
     return out;
-  }
-
-  /// Enters the seeded structural columns into the basis, in ascending
-  /// index order, each via the standard min-ratio leaving row (the same
-  /// Bland-tie-break ratio test run_phase uses).  The ratio test preserves
-  /// primal feasibility at every step, so the crash never has to guess
-  /// which slack a seeded column should displace -- picking wrong is what
-  /// made a forced row assignment fail on degenerate scenario optima where
-  /// a participating worker's binding row is the one-port row rather than
-  /// its own chain row.  Returns false (leaving the caller to fall back
-  /// cold) when the seed is malformed, when a seeded column cannot enter
-  /// (no positive entry), when a later seeded column displaces an earlier
-  /// one -- the ratio-test signature of a seed that is infeasible for this
-  /// instance -- or when an artificial stays basic at a nonzero value.
-  bool try_crash(const WarmBasis& seed) {
-    // pivot() maintains the reduced-cost row; no phase objective is loaded
-    // during the crash, so park a zero row there (run_phase reloads it).
-    reduced_.assign(forbidden_.size(), T{});
-    objective_value_ = T{};
-    std::vector<std::size_t> order = seed.structurals;
-    std::sort(order.begin(), order.end());
-    for (std::size_t col : order) {
-      if (col >= lp_.num_vars) return false;  // malformed seed
-      bool already_basic = false;
-      for (std::size_t b : basis_) {
-        if (b == col) {
-          already_basic = true;
-          break;
-        }
-      }
-      if (already_basic) continue;
-      capture_column(col);
-      std::size_t leaving = tab_.size();
-      T best_ratio{};
-      for (std::size_t i = 0; i < tab_.size(); ++i) {
-        const T& coeff = *eta_[i];
-        if (!P::is_positive(coeff)) continue;
-        T ratio = rhs_[i] / coeff;
-        if (leaving == tab_.size() || ratio < best_ratio ||
-            (!(best_ratio < ratio) && basis_[i] < basis_[leaving])) {
-          leaving = i;
-          best_ratio = ratio;
-        }
-      }
-      if (leaving == tab_.size()) return false;  // column cannot enter
-      pivot(leaving, col);
-    }
-    // Success means the whole seed made it in: a displaced seeded column
-    // stays out (one pass, no retries), which is exactly how an infeasible
-    // seed manifests when every pivot is feasibility-preserving.
-    std::vector<bool> basic(forbidden_.size(), false);
-    for (std::size_t b : basis_) basic[b] = true;
-    for (std::size_t col : order) {
-      if (!basic[col]) return false;
-    }
-    for (std::size_t i = 0; i < tab_.size(); ++i) {
-      if (P::is_negative(rhs_[i])) return false;  // double-drift tripwire
-      if (basis_[i] >= first_artificial_ && !P::is_zero(rhs_[i])) return false;
-    }
-    // Any artificial still basic sits at zero, exactly the post-Phase-I
-    // situation; reuse the same expulsion step before Phase II.
-    if (has_artificials_) expel_basic_artificials();
-    return true;
-  }
-
-  /// True when every nonbasic, admissible column has strictly negative
-  /// reduced cost at the current optimum: the optimal *solution* is then
-  /// unique, so a warm result is forced to coincide bit-for-bit with the
-  /// cold one.  Conservative by design -- a degenerate dual triggers a
-  /// cold fallback even when the optimum happens to be unique.
-  bool optimum_is_unique() const {
-    std::vector<bool> basic(reduced_.size(), false);
-    for (std::size_t b : basis_) basic[b] = true;
-    for (std::size_t j = 0; j < first_artificial_; ++j) {
-      if (!basic[j] && P::is_zero(reduced_[j])) return false;
-    }
-    return true;
   }
 
   void build_tableau() {
@@ -319,8 +167,8 @@ class Simplex {
 
     const std::size_t total = lp_.num_vars + extra + num_art;
     first_artificial_ = lp_.num_vars + extra;
-    // A warm fallback rebuilds the tableau in place; the eta cache would
-    // otherwise hold dangling pointers that could alias the new storage.
+    // A repeated solve() rebuilds the tableau in place; drop the eta cache
+    // so it cannot hold dangling pointers that alias the new storage.
     eta_.clear();
     tab_.assign(m, std::vector<T>(total, T{}));
     rhs_.resize(m);

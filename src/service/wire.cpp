@@ -137,8 +137,6 @@ SolveRecord record_from_outcome(const BatchOutcome& outcome) {
   record.best_rounds = result.best_rounds;
   record.lp_pivots = result.solution.lp_pivots;
   record.lp_fallbacks = result.lp_fallbacks;
-  record.lp_warm_starts = result.lp_warm_starts;
-  record.lp_pivots_saved = result.lp_pivots_saved;
   record.subsets_pruned = result.subsets_pruned;
   record.subsets_screened = result.subsets_screened;
   record.arena_acquires = result.arena_acquires;
@@ -166,8 +164,6 @@ void append_result_fields(experiments::JsonObject& row,
       .add("lp_evaluations", s.lp_evaluations)
       .add("lp_pivots", s.lp_pivots)
       .add("lp_fallbacks", s.lp_fallbacks)
-      .add("lp_warm_starts", s.lp_warm_starts)
-      .add("lp_pivots_saved", s.lp_pivots_saved)
       .add("subsets_pruned", s.subsets_pruned)
       .add("subsets_screened", s.subsets_screened)
       .add("arena_acquires", static_cast<std::size_t>(s.arena_acquires))
@@ -189,9 +185,10 @@ void append_result_fields(experiments::JsonObject& row,
 
 namespace {
 constexpr const char* kResultMagic = "dlsched-wire-result";
-constexpr int kResultVersion = 1;
+// Version 2 dropped the two warm-start counters and the request's warm hint.
+constexpr int kResultVersion = 2;
 constexpr const char* kRequestMagic = "dlsched-wire-request";
-constexpr int kRequestVersion = 1;
+constexpr int kRequestVersion = 2;
 constexpr const char* kRejectMagic = "dlsched-wire-reject";
 constexpr int kRejectVersion = 1;
 }  // namespace
@@ -207,8 +204,7 @@ std::string encode_result_body(const SolveRecord& s) {
       << ' ' << s.replayed << '\n';
   out << "counts " << s.workers_used << ' ' << s.scenarios_tried << ' '
       << s.lp_evaluations << ' ' << s.best_rounds << ' ' << s.lp_pivots
-      << ' ' << s.lp_fallbacks << ' ' << s.lp_warm_starts << ' '
-      << s.lp_pivots_saved << ' ' << s.subsets_pruned << ' '
+      << ' ' << s.lp_fallbacks << ' ' << s.subsets_pruned << ' '
       << s.subsets_screened << ' ' << s.arena_acquires << ' '
       << s.arena_pool_hits << '\n';
   out << "scalars ";
@@ -244,8 +240,8 @@ SolveRecord decode_result_body(std::string_view body) {
       s.replayed;
   expect_label(in, "counts", "counts");
   in >> s.workers_used >> s.scenarios_tried >> s.lp_evaluations >>
-      s.best_rounds >> s.lp_pivots >> s.lp_fallbacks >> s.lp_warm_starts >>
-      s.lp_pivots_saved >> s.subsets_pruned >> s.subsets_screened >>
+      s.best_rounds >> s.lp_pivots >> s.lp_fallbacks >> s.subsets_pruned >>
+      s.subsets_screened >>
       s.arena_acquires >> s.arena_pool_hits;
   expect_label(in, "scalars", "scalars");
   s.throughput = get_double(in);
@@ -310,7 +306,6 @@ std::string encode_request_body(const std::string& solver,
   out << "guards " << r.max_workers_brute << ' ' << r.max_workers_subset
       << ' ' << r.local_search_restarts << ' ' << r.local_search_max_steps
       << ' ' << r.max_rounds << '\n';
-  put_doubles(out, "warm", r.warm_alpha);
   out << "end\n";
   return out.str();
 }
@@ -374,7 +369,6 @@ WireRequest decode_request_body(std::string_view body) {
   in >> r.max_workers_brute >> r.max_workers_subset >>
       r.local_search_restarts >> r.local_search_max_steps >> r.max_rounds;
   DLSCHED_EXPECT(!in.fail(), "wire body: truncated guards");
-  r.warm_alpha = get_doubles(in, "warm");
   std::string label;
   in >> label;
   DLSCHED_EXPECT(label == "end" && !in.fail(),

@@ -27,7 +27,10 @@ CliArgs CliArgs::parse(int argc, const char* const* argv,
       args.options_[name] = "";
       continue;
     }
-    DLSCHED_EXPECT(i + 1 < argc, "option --" + name + " needs a value");
+    if (i + 1 >= argc) {
+      DLSCHED_FAIL("option --" + name +
+                   " needs a value (or is not a known flag)");
+    }
     args.options_[name] = argv[++i];
   }
   return args;

@@ -103,43 +103,6 @@ TEST(Affine, SubsetGuardRejectsLargePlatforms) {
       Error);
 }
 
-TEST(Affine, PruningAndWarmStartsNeverChangeTheWinner) {
-  // The Gray-code scan with the one-port upper-bound pruning and the
-  // warm-start chain must return exactly the plain enumeration's result:
-  // same winner, same solution bit for bit, same subsets_tried ledger --
-  // only the pruned/warm counters and pivot totals may differ.
-  Rng rng(225);
-  for (int iter = 0; iter < 6; ++iter) {
-    const StarPlatform platform = gen::random_star(5, rng, 0.5, 0.05, 0.3);
-    AffineCosts costs;
-    costs.send_latency = rng.uniform(0.0, 0.08);
-    costs.compute_latency = rng.uniform(0.0, 0.02);
-    costs.return_latency = rng.uniform(0.0, 0.04);
-
-    affine::AffineSubsetOptions plain;
-    plain.warm_start = false;
-    plain.prune = false;
-    plain.screen = false;
-    const auto baseline =
-        affine::solve_affine_fifo_best_subset(platform, costs, plain);
-    const auto tuned = affine::solve_affine_fifo_best_subset(
-        platform, costs, affine::AffineSubsetOptions{});
-
-    EXPECT_EQ(tuned.feasible, baseline.feasible);
-    EXPECT_EQ(tuned.participants, baseline.participants);
-    EXPECT_EQ(tuned.best.throughput, baseline.best.throughput);
-    EXPECT_EQ(tuned.subsets_tried, baseline.subsets_tried);
-    for (std::size_t i = 0; i < baseline.best.alpha.size(); ++i) {
-      EXPECT_EQ(tuned.best.alpha[i], baseline.best.alpha[i]);
-    }
-    EXPECT_LE(tuned.subsets_pruned + tuned.subsets_screened,
-              tuned.subsets_tried);
-    EXPECT_EQ(baseline.subsets_pruned, 0u);
-    EXPECT_EQ(baseline.subsets_screened, 0u);
-    EXPECT_EQ(baseline.lp_warm_starts, 0u);
-  }
-}
-
 class AffineSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AffineSweep, GreedyPrefixMatchesExhaustiveOnUniformWorkers) {

@@ -2,8 +2,10 @@
 
 #include <cstdint>
 #include <random>
+#include <thread>
 
 #include "numeric/bigint.hpp"
+#include "numeric/limb_arena.hpp"
 #include "util/error.hpp"
 
 namespace dlsched::numeric {
@@ -421,6 +423,27 @@ TEST_P(BigIntRandomized, AgreesWithNativeInt64Arithmetic) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntRandomized,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// ----------------------------------------------------------- arena totals --
+
+TEST(LimbArena, AggregateSumsAcrossThreads) {
+  // The aggregate accessor must fold exited worker threads' counters in
+  // and never lose counts relative to the per-thread snapshots.
+  const auto before = limb_arena_aggregate_stats();
+  std::uint64_t thread_local_acquires = 0;
+  std::thread worker([&] {
+    // Products well past the inline word force limb storage.
+    BigInt x = big("123456789012345678901234567890123456789");
+    for (int i = 0; i < 8; ++i) x = x * x / big("98765432109876543210");
+    EXPECT_FALSE(x.fits_int64());
+    thread_local_acquires = limb_arena_stats().acquires;
+  });
+  worker.join();
+  const auto after = limb_arena_aggregate_stats();
+  EXPECT_GT(thread_local_acquires, 0u);
+  EXPECT_GE(after.acquires - before.acquires, thread_local_acquires);
+  EXPECT_GE(after.pool_hits, before.pool_hits);
+}
 
 }  // namespace
 }  // namespace dlsched::numeric

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/churn.hpp"
 #include "core/scenario.hpp"
 #include "core/scenario_lp.hpp"
 #include "platform/generators.hpp"
@@ -144,6 +145,49 @@ TEST(ScenarioLp, EnrolledListsPositiveLoadsOnly) {
 }
 
 // ----------------------------------------------- realized schedules validate --
+
+// ------------------------------------------------------------------- churn --
+
+TEST(Churn, ResolveEqualsColdSolveOnChurnedPlatform) {
+  // resolve() must be exactly a fresh solve_scenario of the INC_C FIFO LP
+  // on the churned platform with the re-indexed costs, for every event
+  // kind.
+  Rng rng(606);
+  AffineCosts costs;
+  costs.send_latency = 0.01;
+  costs.compute_latency = 0.002;
+  costs.return_latency = 0.005;
+  for (int iter = 0; iter < 6; ++iter) {
+    SolveRequest request;
+    request.platform = gen::random_star(5, rng, 0.5);
+    request.costs = costs;
+    PlatformDelta delta;
+    switch (iter % 3) {
+      case 0: delta = PlatformDelta::slowdown(iter % 5, 1.7); break;
+      case 1: delta = PlatformDelta::leave(iter % 5); break;
+      default:
+        delta = PlatformDelta::join(Worker{0.3, 0.8, 0.15, "joined"});
+        break;
+    }
+    const ResolveResult resolved = resolve(request, delta);
+    const ChurnedPlatform churned =
+        apply_delta(request.platform, request.costs, delta);
+    const ScenarioSolution direct = solve_scenario(
+        churned.platform, Scenario::fifo(churned.platform.order_by_c()),
+        churned.costs.lp_options());
+    EXPECT_EQ(resolved.platform.size(), churned.platform.size());
+    EXPECT_EQ(resolved.old_to_new, churned.old_to_new);
+    EXPECT_EQ(resolved.solution.throughput, direct.throughput);
+    EXPECT_EQ(resolved.solution.lp_pivots, direct.lp_pivots);
+    EXPECT_EQ(resolved.solution.scenario.send_order,
+              direct.scenario.send_order);
+    ASSERT_EQ(resolved.solution.alpha.size(), direct.alpha.size());
+    for (std::size_t i = 0; i < direct.alpha.size(); ++i) {
+      EXPECT_EQ(resolved.solution.alpha[i], direct.alpha[i]);
+      EXPECT_EQ(resolved.solution.idle[i], direct.idle[i]);
+    }
+  }
+}
 
 class ScenarioRealization : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -113,7 +113,7 @@ TEST(ShardPlanner, LatencyAxesExpandTheGridAndSetTheRequestCosts) {
     }
     // The platform is shared across the latency surface (the latency
     // axes are outside the instance seed), so the latency effect is
-    // isolated -- and the warm chain across cells is legitimate.
+    // isolated.
     EXPECT_DOUBLE_EQ(shard.cells[0].request.platform.worker(0).c,
                      shard.cells[1].request.platform.worker(0).c);
   }

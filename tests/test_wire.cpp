@@ -38,8 +38,6 @@ SolveRecord sample_record() {
   r.best_rounds = 2;
   r.lp_pivots = 31;
   r.lp_fallbacks = 1;
-  r.lp_warm_starts = 4;
-  r.lp_pivots_saved = 9;
   r.subsets_pruned = 5;
   r.subsets_screened = 11;
   r.arena_acquires = 101;
@@ -64,7 +62,6 @@ SolveRequest sample_request() {
   request.seed = 42;
   request.time_budget_seconds = 0.125;
   request.max_workers_subset = 9;
-  request.warm_alpha = {0.1, 0.2, 0.7};
   return request;
 }
 
@@ -83,7 +80,7 @@ TEST(WireBodies, ResultRoundTripsBitExactly) {
   }
   EXPECT_EQ(back.send_order, r.send_order);
   EXPECT_EQ(back.participants, r.participants);
-  EXPECT_EQ(back.lp_warm_starts, r.lp_warm_starts);
+  EXPECT_EQ(back.subsets_pruned, r.subsets_pruned);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(back.wall_seconds),
             std::bit_cast<std::uint64_t>(r.wall_seconds));
 }
@@ -97,7 +94,7 @@ TEST(WireBodies, UnsolvedResultCarriesTheErrorText) {
   EXPECT_EQ(back.error, r.error);
 }
 
-TEST(WireBodies, RequestRoundTripsIdentityAndHint) {
+TEST(WireBodies, RequestRoundTripsIdentityAndNames) {
   const SolveRequest request = sample_request();
   const std::string body = encode_request_body("scenario_lp", request);
   const WireRequest back = decode_request_body(body);
@@ -107,7 +104,6 @@ TEST(WireBodies, RequestRoundTripsIdentityAndHint) {
   EXPECT_EQ(request_canonical_key(back.request),
             request_canonical_key(request));
   // And the non-identity extras survive too.
-  EXPECT_EQ(back.request.warm_alpha, request.warm_alpha);
   EXPECT_EQ(back.request.platform.worker(1).name,
             request.platform.worker(1).name);
   EXPECT_EQ(encode_request_body(back.solver, back.request), body);
@@ -248,8 +244,8 @@ TEST(WireBodies, CanonicalJsonFieldListMatchesTheGridRowOrder) {
       "throughput",     "workers_used",    "validated",
       "provably_optimal", "exact",         "scenarios_tried",
       "lp_evaluations", "lp_pivots",       "lp_fallbacks",
-      "lp_warm_starts", "lp_pivots_saved", "subsets_pruned",
-      "subsets_screened", "arena_acquires", "arena_pool_hits",
+      "subsets_pruned", "subsets_screened", "arena_acquires",
+      "arena_pool_hits",
       "participants",   "replay_makespan", "replay_rel_error",
       "alt_throughput", "wall_seconds",    "validate_seconds"};
   std::size_t at = 0;
