@@ -7,13 +7,17 @@
 //   dlsched_bench --spec-file my_sweep.toml
 //   dlsched_bench --all                       # every built-in spec
 //   dlsched_bench --cache-stats [--cache-dir DIR]   # result-cache hygiene
-//   dlsched_bench --spec smoke --workers 3    # forked work-stealing run
+//   dlsched_bench --spec smoke --workers 3    # 3 local TCP workers
 //   dlsched_bench --spec smoke --shard 0/4    # one slice, fragments only
 //   dlsched_bench --spec smoke --join         # merge published fragments
 //   dlsched_bench --spec smoke --coordinator 127.0.0.1:7601   # TCP board
 //   dlsched_bench --worker tcp://127.0.0.1:7601               # TCP worker
 //
-// `dlsched_bench --help` prints every option.
+// `--workers N` runs the same TCP lease board as `--coordinator`, on an
+// ephemeral loopback port, with N forked local workers leasing from it.
+//
+// `dlsched_bench --help` prints every option; any other option is an
+// error.
 //
 // Replaces the 15 former bench/*.cpp binaries; see README "Running
 // experiments" for the spec -> paper figure table.  The driver itself

@@ -100,8 +100,9 @@ int usage(std::ostream& out, int code) {
          "  --svg FILE / --width N / --noise SEED / --chrome-trace FILE\n"
          "bench options: --spec/--spec-file/--list-specs plus\n"
          "  --out/--csv/--cache-dir/--no-cache/--quick\n"
-         "  cluster: --coordinator HOST:PORT [--workers N|auto[:MAX]]\n"
-         "           [--lease-ttl S] | --worker tcp://HOST:PORT\n";
+         "  fleet: --workers N|auto[:MAX] [--coordinator HOST:PORT]\n"
+         "         [--lease-ttl S] | --worker tcp://HOST:PORT\n"
+         "  (dlsched_bench --help lists every bench option)\n";
   return code;
 }
 

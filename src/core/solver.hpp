@@ -286,8 +286,8 @@ struct BatchProgress {
 /// Optional per-job completion hook for `solve_batch`: invoked serially
 /// (never concurrently, under an internal mutex) from worker threads after
 /// each primary job's outcome -- including validation -- is final.  The
-/// experiment layer uses it to checkpoint finished results into the shared
-/// result cache and refresh work-stealing claim heartbeats mid-shard.
+/// experiment layer uses it to checkpoint finished results into the
+/// result cache mid-shard.
 /// Returning false cancels the batch: jobs not yet started are marked
 /// `cancelled` instead of being run (in-flight jobs still finish).
 using BatchProgressHook =

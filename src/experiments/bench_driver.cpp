@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -27,7 +28,7 @@ std::atomic<int> g_bench_signal{0};
 
 extern "C" void on_bench_signal(int sig) { g_bench_signal.store(sig); }
 
-/// `--worker tcp://HOST:PORT`: join a coordinator's claim board instead of
+/// `--worker tcp://HOST:PORT`: join a coordinator's lease board instead of
 /// running a spec.  The spec itself arrives over the wire with each lease.
 int run_worker_mode(const CliArgs& args, const std::string& endpoint) {
   service::TcpWorkerOptions options;
@@ -53,14 +54,13 @@ int run_worker_mode(const CliArgs& args, const std::string& endpoint) {
   return 0;
 }
 
-/// `--workers auto[:MAX]` / `--workers N` with `--coordinator`; plain
-/// `--workers N` keeps meaning the filesystem-board worker fleet.
+/// `--workers N|auto[:MAX]`: the local TCP worker fleet.  Absent, a
+/// coordinator waits for external workers and a plain run stays
+/// in-process.
 void parse_workers(const CliArgs& args, RunOptions& options) {
   const std::optional<std::string> text = args.get("workers");
-  if (text && text->rfind("auto", 0) == 0) {
-    DLSCHED_EXPECT(!options.coordinator.empty(),
-                   "--workers auto needs --coordinator HOST:PORT "
-                   "(autoscaling drives the TCP claim board)");
+  if (!text) return;
+  if (text->rfind("auto", 0) == 0) {
     options.autoscale = true;
     if (text->size() > 4) {
       const std::string max_text =
@@ -80,14 +80,7 @@ void parse_workers(const CliArgs& args, RunOptions& options) {
   const std::int64_t workers = args.get_int("workers", 1);
   DLSCHED_EXPECT(workers >= 1,
                  "--workers wants a positive process count or auto[:MAX]");
-  if (!options.coordinator.empty()) {
-    // With a coordinator the flag sizes the local TCP worker fleet; no
-    // flag means passive (external workers connect with --worker).
-    options.cluster_workers =
-        text ? static_cast<std::size_t>(workers) : 0;
-  } else {
-    options.workers = static_cast<std::size_t>(workers);
-  }
+  options.workers = static_cast<std::size_t>(workers);
 }
 
 int list_specs() {
@@ -212,15 +205,8 @@ int run_one(ExperimentSpec spec, const CliArgs& args,
   options.join_only = args.has("join");
   options.cache_max_bytes =
       static_cast<std::uint64_t>(args.get_int("cache-max-bytes", 0));
-  // Both staleness knobs share one accepted range: long enough to be a
-  // real heartbeat period, short enough that a dead worker's shard is
-  // reassigned within the hour.
-  options.stale_seconds =
-      args.get_double("stale-seconds", options.stale_seconds);
-  DLSCHED_EXPECT(
-      options.stale_seconds >= 0.05 && options.stale_seconds <= 3600.0,
-      "--stale-seconds " + format_double(options.stale_seconds, 6) +
-          " is out of range (accepted: 0.05 to 3600 seconds)");
+  // Long enough to be a real renewal period, short enough that a dead
+  // worker's shard is reassigned within the hour.
   options.lease_ttl_seconds =
       args.get_double("lease-ttl", options.lease_ttl_seconds);
   DLSCHED_EXPECT(
@@ -238,55 +224,90 @@ int run_one(ExperimentSpec spec, const CliArgs& args,
   return summary.failures == 0 ? 0 : 1;
 }
 
-/// `--help`: the whole flag list, one entry per option.
+/// One `dlsched_bench` option.  `bench_options()` is the single list
+/// that `--help` prints and that `bench_main` checks every parsed option
+/// against; an entry without a name is a section heading.
+struct BenchOption {
+  const char* name;   ///< without the leading "--"
+  const char* value;  ///< value placeholder; nullptr for a flag
+  const char* help;
+};
+
+const std::vector<BenchOption>& bench_options() {
+  static const auto* options = new std::vector<BenchOption>{
+      {nullptr, nullptr, "modes (one per invocation):"},
+      {"spec", "NAME", "run a built-in spec"},
+      {"spec-file", "FILE", "run a spec declared in a TOML file"},
+      {"all", nullptr, "run every built-in spec"},
+      {"list-specs", nullptr, "list the built-in specs"},
+      {"list-generators", nullptr, "list the platform generators"},
+      {"cache-stats", nullptr, "report the result cache (see --cache-dir)"},
+      {"help", nullptr, "print this list"},
+      {nullptr, nullptr, "run options:"},
+      {"out", "FILE", "BENCH JSON artifact (default BENCH_<spec>.json)"},
+      {"csv", "FILE", "figure-data CSV (default <spec>.csv)"},
+      {"no-json", nullptr, "suppress the JSON artifact"},
+      {"no-csv", nullptr, "suppress the CSV artifact"},
+      {"cache-dir", "DIR", "result cache (default .dlsched_cache)"},
+      {"no-cache", nullptr, "solve everything, store nothing"},
+      {"cache-max-bytes", "N",
+       "LRU-evict the cache down to N bytes post-run"},
+      {"threads", "N",
+       "pool size (0 = all cores; split over a --workers fleet; 1 in a "
+       "--worker process)"},
+      {"quick", nullptr, "shrink axes (same shape, small grid)"},
+      {"seed", "N", "override the spec's seed block"},
+      {"repetitions", "N", "override instances per grid point"},
+      {"filter", "AXIS=V[|V],...",
+       "run one grid slice (e.g. p=4,solver=lifo)"},
+      {"trace", "FILE",
+       "merge every process's spans into one Chrome trace"},
+      {nullptr, nullptr, "distributed runs:"},
+      {"workers", "N|auto[:MAX]",
+       "fork N TCP workers (+ a loopback coordinator)"},
+      {"coordinator", "HOST:PORT",
+       "own the lease board over TCP on HOST:PORT"},
+      {"lease-ttl", "S", "lease TTL before reassignment (0.05 to 3600)"},
+      {"shard", "i/k",
+       "run shards with index % k == i, publish fragments"},
+      {"join", nullptr, "merge published fragments deterministically"},
+      {"worker", "tcp://HOST:PORT", "lease shards from a coordinator"},
+      {"worker-id", "ID", "--worker's lease holder name (default w<pid>)"},
+      {"scratch-dir", "DIR",
+       "--worker's scratch cache (default: a temp dir)"},
+      {"abandon-after", "N",
+       "chaos drill: die holding a lease after N shards"}};
+  return *options;
+}
+
+/// `--help`: every entry of `bench_options()`, one per line.
 int bench_usage() {
-  std::cout <<
-      "usage: dlsched_bench --spec NAME | --spec-file FILE | --all\n"
-      "                     | --list-specs | --list-generators\n"
-      "                     | --cache-stats [--cache-dir DIR]\n"
-      "                     | --worker tcp://HOST:PORT | --help\n"
-      "\n"
-      "run options:\n"
-      "  --out FILE        BENCH JSON artifact (default BENCH_<spec>.json)\n"
-      "  --csv FILE        figure-data CSV (default <spec>.csv)\n"
-      "  --no-json / --no-csv   suppress an artifact\n"
-      "  --cache-dir DIR   result cache (default .dlsched_cache)\n"
-      "  --no-cache        solve everything, store nothing\n"
-      "  --cache-max-bytes N    LRU-evict the cache down to N bytes "
-      "post-run\n"
-      "  --threads N       solve pool size (0 = hardware concurrency)\n"
-      "  --quick           shrink axes (same shape, small grid)\n"
-      "  --seed N          override the spec's seed block\n"
-      "  --repetitions N   override instances per grid point\n"
-      "  --filter AXIS=V[|V],...  run one slice of the grid "
-      "(e.g. p=4,solver=lifo)\n"
-      "  --trace FILE      record spans across every process of the run "
-      "and\n"
-      "                    merge them into one Chrome trace_event JSON\n"
-      "distributed runs:\n"
-      "  --workers N       fork N work-stealing workers over the shard "
-      "board\n"
-      "  --shard i/k       execute shards with index % k == i, publish "
-      "fragments\n"
-      "  --join            merge published fragments deterministically\n"
-      "  --stale-seconds S claim heartbeat timeout (0.05 to 3600)\n"
-      "  --coordinator HOST:PORT   own the claim board over TCP; with\n"
-      "                    --workers N|auto[:MAX] fork local TCP workers\n"
-      "  --lease-ttl S     TCP lease TTL before reassignment "
-      "(0.05 to 3600)\n"
-      "  --worker tcp://HOST:PORT  lease shards from a coordinator;\n"
-      "                    with --worker-id ID, --threads N,\n"
-      "                    --scratch-dir DIR, --abandon-after N\n";
+  std::cout << "usage: dlsched_bench MODE [options]\n";
+  for (const BenchOption& option : bench_options()) {
+    if (option.name == nullptr) {
+      std::cout << "\n" << option.help << "\n";
+      continue;
+    }
+    std::string label = std::string("  --") + option.name;
+    if (option.value != nullptr) label += std::string(" ") + option.value;
+    label.resize(std::max<std::size_t>(label.size() + 2, 28), ' ');
+    std::cout << label << option.help << "\n";
+  }
   return 0;
 }
 
 }  // namespace
 
 const std::vector<std::string>& bench_flags() {
-  static const std::vector<std::string>* flags = new std::vector<std::string>{
-      "list-specs", "list-generators", "all",     "quick",
-      "no-cache",   "no-json",         "no-csv",  "cache-stats",
-      "join",       "help"};
+  static const auto* flags = [] {
+    auto* names = new std::vector<std::string>();
+    for (const BenchOption& option : bench_options()) {
+      if (option.name != nullptr && option.value == nullptr) {
+        names->emplace_back(option.name);
+      }
+    }
+    return names;
+  }();
   return *flags;
 }
 
@@ -294,6 +315,16 @@ int bench_main(const CliArgs& args) {
   // Stamp the run epoch and start the tracer before any spec parsing so
   // the root span (and wall_seconds) covers parse + plan time.
   const auto run_epoch = std::chrono::steady_clock::now();
+  for (const std::string& name : args.option_names()) {
+    const bool known = std::any_of(
+        bench_options().begin(), bench_options().end(),
+        [&](const BenchOption& option) {
+          return option.name != nullptr && name == option.name;
+        });
+    if (!known) {
+      DLSCHED_FAIL("unknown option --" + name + " (--help lists every option)");
+    }
+  }
   if (args.has("help")) return bench_usage();
   if (args.get("trace")) obs::Tracer::instance().enable("bench");
   if (const auto endpoint = args.get("worker")) {

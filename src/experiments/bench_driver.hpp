@@ -13,7 +13,8 @@ class CliArgs;
 namespace dlsched::experiments {
 
 /// The value-less options the driver understands; callers must append
-/// these to their `CliArgs::parse` flag list.
+/// these to their `CliArgs::parse` flag list.  `bench_main` rejects any
+/// option outside its one list (what `--help` prints).
 [[nodiscard]] const std::vector<std::string>& bench_flags();
 
 /// Runs one bench invocation from parsed arguments:
@@ -22,8 +23,8 @@ namespace dlsched::experiments {
 ///   [--out FILE] [--csv FILE] [--no-json] [--no-csv]
 ///   [--cache-dir DIR] [--no-cache] [--cache-max-bytes N]
 ///   [--threads N] [--quick] [--seed N] [--repetitions N]
-///   [--workers N] [--shard i/k] [--join] [--stale-seconds S]
-///   [--coordinator HOST:PORT [--workers N|auto[:MAX]] [--lease-ttl S]]
+///   [--workers N|auto[:MAX]] [--coordinator HOST:PORT] [--lease-ttl S]
+///   [--shard i/k | --join]
 ///   | --worker tcp://HOST:PORT [--worker-id ID] [--scratch-dir DIR]
 ///     [--abandon-after N]
 /// Returns a process exit code (0 ok, 1 failures, 2 usage).

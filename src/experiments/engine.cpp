@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <system_error>
 #include <thread>
@@ -132,11 +133,13 @@ ExperimentSpec shrink(ExperimentSpec spec) {
 //
 //   * in-process (default): shards run sequentially, rows stream into the
 //     artifact as each (p, z) slice finishes;
-//   * `--workers N`: N forked worker processes race over the shard board
-//     (work stealing via claim files), the parent joins the fragments;
+//   * `--workers N` and/or `--coordinator HOST:PORT`: a TCP lease board
+//     hands shards to worker processes -- N forked local ones (on an
+//     ephemeral loopback port when no coordinator address is given)
+//     and/or external `--worker` processes -- and joins their fragments;
 //   * `--shard i/k`: this process executes the static slice
-//     `index % k == i` and publishes fragments only (for external
-//     orchestration across machines sharing the cache directory);
+//     `index % k == i` and publishes fragments to the fragment directory
+//     (for external orchestration across machines sharing the cache);
 //   * `--join`: no solving, just the deterministic fragment merge.
 
 /// In-process streaming execution: shards in planner order, each emitted
@@ -184,13 +187,14 @@ void run_grid_slice(const ExperimentSpec& spec, const RunOptions& options,
       << "; assemble with --join once every slice has run\n";
 }
 
-/// Deterministic merge of published fragments into the artifacts.  Shared
-/// by `--join` and the `--workers` parent.
-void join_board(const ExperimentSpec& spec,
-                const std::vector<CompiledShard>& shards, ShardBoard& board,
-                ResultCache& cache, BenchJsonWriter* json, std::ostream* csv,
-                RunSummary& summary, std::ostream& log,
-                std::vector<obs::ProcessTrace>* traces = nullptr) {
+/// `--join`: deterministic merge of published fragments into the
+/// artifacts.
+void run_grid_join(const ExperimentSpec& spec, const RunOptions& options,
+                   ResultCache& cache, BenchJsonWriter* json,
+                   std::ostream* csv, RunSummary& summary, std::ostream& log,
+                   std::vector<obs::ProcessTrace>& traces) {
+  const std::vector<CompiledShard> shards = plan_shards(spec);
+  const ShardBoard board(board_directory(options.cache_dir, spec, shards));
   summary.shards = shards.size();
   std::vector<ShardResult> results;
   results.reserve(shards.size());
@@ -205,109 +209,55 @@ void join_board(const ExperimentSpec& spec,
   DLSCHED_EXPECT(missing.empty(),
                  "cannot join '" + spec.name +
                      "': missing shard fragment(s):" + missing +
-                     " (run the remaining --shard slices or workers first)");
+                     " (run the remaining --shard slices first)");
   ShardAssembler assembler(json, csv, summary, log);
   for (const ShardResult& result : results) {
     assembler.consume(result);
-    // Fold the producing workers' cache deltas into this process's
+    // Fold the producing slices' cache deltas into this process's
     // counters so the summary and the last-run marker cover the whole run.
     cache.stats.hits += result.cache.hits;
     cache.stats.misses += result.cache.misses;
     cache.stats.stores += result.cache.stores;
   }
   assembler.finish();
-  if (traces != nullptr) {
-    // Fold in the trace sidecars the workers published next to their
-    // fragments.  A torn or absent sidecar only costs its spans.
-    for (const CompiledShard& shard : shards) {
-      if (const std::optional<std::string> body = board.load_trace(shard)) {
-        try {
-          obs::merge_process_trace(*traces, obs::decode_trace(*body));
-        } catch (const std::exception&) {
-          // corrupt sidecar: ignore
-        }
-      }
-    }
-  }
-}
-
-/// `--workers N`: fork N work-stealing workers over a fresh board, wait,
-/// join their fragments.
-void run_grid_workers(const ExperimentSpec& spec, const RunOptions& options,
-                      ResultCache& cache, BenchJsonWriter* json,
-                      std::ostream* csv, RunSummary& summary,
-                      std::ostream& log,
-                      std::vector<obs::ProcessTrace>* traces = nullptr) {
-  const std::vector<CompiledShard> shards = plan_shards(spec);
-  ShardBoard board(board_directory(options.cache_dir, spec, shards));
-  // Fragments are run-scoped, unlike the content-addressed cache entries:
-  // start every --workers run from a clean board.
-  board.reset();
-  log << "running " << shards.size() << " shard(s) on " << options.workers
-      << " worker process(es), board " << board.directory() << "\n";
-  log.flush();
-
-  std::vector<pid_t> children;
-  children.reserve(options.workers);
-  for (std::size_t w = 0; w < options.workers; ++w) {
-    const pid_t pid = ::fork();
-    DLSCHED_EXPECT(pid >= 0, "fork() failed for worker " +
-                                 std::to_string(w));
-    if (pid == 0) {
-      // Worker child: claim-execute-publish until the board is complete,
-      // then _exit without touching the parent's buffered streams.
-      int code = 0;
+  // Fold in the trace sidecars the slices published next to their
+  // fragments.  A torn or absent sidecar only costs its spans.
+  for (const CompiledShard& shard : shards) {
+    if (const std::optional<std::string> body = board.load_trace(shard)) {
       try {
-        ResultCache worker_cache(options.cache_dir);
-        SchedulerOptions scheduler;
-        scheduler.worker_id =
-            "w" + std::to_string(w) + "-" + std::to_string(::getpid());
-        // The fork copied the parent's span buffers and run epoch; drop
-        // the inherited spans, keep the shared timeline, and let this
-        // child trace under its own worker id.
-        if (obs::Tracer::instance().enabled()) {
-          obs::Tracer::instance().relabel_after_fork(scheduler.worker_id);
-        }
-        scheduler.stale_seconds = options.stale_seconds;
-        scheduler.threads = options.threads;
-        (void)run_worker(spec, shards, board, worker_cache, scheduler);
-      } catch (...) {
-        code = 1;
+        obs::merge_process_trace(traces, obs::decode_trace(*body));
+      } catch (const std::exception&) {
+        // corrupt sidecar: ignore
       }
-      ::_exit(code);
-    }
-    children.push_back(pid);
-  }
-  std::size_t worker_failures = 0;
-  for (const pid_t pid : children) {
-    int status = 0;
-    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0) {
-      ++worker_failures;
     }
   }
-  if (worker_failures > 0) {
-    log << worker_failures
-        << " worker(s) exited abnormally; joining the published "
-           "fragments\n";
-  }
-  join_board(spec, shards, board, cache, json, csv, summary, log, traces);
-  // The board was this run's scratch space (reset on entry, fully
-  // consumed by the join): remove it so distributed runs do not grow the
-  // cache directory past what --cache-max-bytes can see.  Boards built
-  // by external --shard slices are left for their eventual --join.
-  std::error_code cleanup;
-  std::filesystem::remove_all(board.directory(), cleanup);
 }
 
 // ---------------------------------------------------------------- cluster --
 
+/// 128 random bits, hex: the secret a loopback board shares with the
+/// fleet it forks (the children inherit it through fork memory).
+std::string draw_fleet_token() {
+  std::random_device device;
+  std::ostringstream token;
+  token << std::hex;
+  for (int i = 0; i < 4; ++i) token << device();
+  return token.str();
+}
+
 /// Forks one retirable local TCP worker against `endpoint`.  The child
 /// runs the worker loop and `_exit`s without touching the parent's
-/// buffered streams (the same fork-without-exec idiom as
-/// `run_grid_workers`); its log goes to a sink that dies with it.
-pid_t spawn_cluster_worker(const std::string& endpoint, std::size_t ordinal,
-                           std::size_t threads) {
+/// buffered streams; its log goes to a sink that dies with it.
+///
+/// This is fork without exec from a process whose coordinator threads are
+/// already serving connections, so the child gets a copy of every mutex
+/// in whatever state another thread left it.  The process-wide registries
+/// the worker loop takes (metrics, tracer, limb arena) hold their locks
+/// across fork() through pthread_atfork handlers, so the child never
+/// inherits one of them held.
+pid_t spawn_cluster_worker(const std::string& endpoint,
+                           const std::string& fleet_token,
+                           std::size_t ordinal, std::size_t threads) {
   const pid_t pid = ::fork();
   DLSCHED_EXPECT(pid >= 0, "fork() failed for cluster worker " +
                                std::to_string(ordinal));
@@ -320,6 +270,7 @@ pid_t spawn_cluster_worker(const std::string& endpoint, std::size_t ordinal,
         "local-w" + std::to_string(ordinal) + "-" + std::to_string(::getpid());
     options.threads = threads;
     options.retirable = true;
+    options.fleet_token = fleet_token;
     // Inherited tracer state: drop the parent's spans, keep its epoch so
     // this worker's spans land on the coordinator's timeline, and ship
     // them back inside FragmentPush under the worker id.
@@ -334,31 +285,38 @@ pid_t spawn_cluster_worker(const std::string& endpoint, std::size_t ordinal,
   ::_exit(code);
 }
 
-/// `--coordinator HOST:PORT`: own the claim board over TCP.  Local
-/// workers (`--workers N` / `--workers auto[:MAX]`) are forked as
-/// retirable TCP workers; external ones join with
-/// `dlsched_bench --worker tcp://HOST:PORT`.  The coordinator's cache is
-/// the synchronization medium, so the joined artifacts stay
-/// byte-identical to a single-process run over the same cache.
+/// `--workers N` / `--coordinator HOST:PORT`: own the lease board over
+/// TCP.  Local workers (`--workers N` / `--workers auto[:MAX]`) are forked
+/// as retirable TCP workers; external ones join with
+/// `dlsched_bench --worker tcp://HOST:PORT`.  Without `--coordinator` the
+/// board listens on an ephemeral loopback port and admits only the forked
+/// fleet, which carries a token drawn before the fork; the run fails once
+/// that whole fleet has exited (an autoscaled one: once more workers have
+/// failed than there are shards) with shards still missing.  The
+/// coordinator's cache is the synchronization medium, so the
+/// joined artifacts stay byte-identical to a single-process run over the
+/// same cache.
 void run_grid_coordinator(const ExperimentSpec& spec,
                           const RunOptions& options, ResultCache& cache,
                           BenchJsonWriter* json, std::ostream* csv,
                           RunSummary& summary, std::ostream& log,
-                          std::vector<obs::ProcessTrace>* traces = nullptr) {
+                          std::vector<obs::ProcessTrace>& traces) {
   obs::ObsSpan plan_span("shard", "cluster-plan");
   const auto phase_plan = steady_clock::now();
   std::vector<CompiledShard> shards = plan_shards(spec);
   summary.shards = shards.size();
   const std::size_t shard_count = shards.size();
 
-  const service::net::Endpoint listen =
-      service::net::parse_endpoint(options.coordinator);
+  const service::net::Endpoint listen = service::net::parse_endpoint(
+      options.coordinator.empty() ? "127.0.0.1:0" : options.coordinator);
   DLSCHED_EXPECT(listen.tcp, "--coordinator wants HOST:PORT (got '" +
                                  options.coordinator + "')");
+  const bool local_fleet_only = options.coordinator.empty();
   service::CoordinatorConfig config;
   config.host = listen.host;
   config.port = listen.port;
   config.lease_ttl_seconds = options.lease_ttl_seconds;
+  if (local_fleet_only) config.fleet_token = draw_fleet_token();
   service::Coordinator coordinator(spec, std::move(shards), cache, config);
   const std::string endpoint = coordinator.endpoint();
   plan_span.finish();
@@ -378,12 +336,43 @@ void run_grid_coordinator(const ExperimentSpec& spec,
       << format_double(config.lease_ttl_seconds, 3) << " s\n";
   log.flush();
 
+  // Each local worker solves its shard on an equal slice of the cores,
+  // rounded up so no core idles, unless --threads pins the count.
+  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t fleet_size = std::max<std::size_t>(
+      1, options.autoscale
+             ? (options.autoscale_max > 0 ? options.autoscale_max : cores)
+             : options.workers);
+  const std::size_t worker_threads =
+      options.threads > 0 ? options.threads
+                          : (cores + fleet_size - 1) / fleet_size;
+
   std::vector<pid_t> children;
   std::size_t spawned = 0;
   const auto spawn = [&] {
-    children.push_back(
-        spawn_cluster_worker(endpoint, spawned++, options.threads));
+    children.push_back(spawn_cluster_worker(endpoint, config.fleet_token,
+                                            spawned++, worker_threads));
     coordinator.note_worker_spawned();
+  };
+  // Reaps exited children (`flags` = WNOHANG: only those already gone)
+  // and returns how many; abnormal exits are counted.
+  std::size_t worker_failures = 0;
+  const auto reap = [&](int flags) {
+    std::size_t reaped = 0;
+    for (auto it = children.begin(); it != children.end();) {
+      int status = 0;
+      const pid_t done = ::waitpid(*it, &status, flags);
+      if (done == 0) {
+        ++it;
+        continue;
+      }
+      if (done != *it || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        ++worker_failures;
+      }
+      it = children.erase(it);
+      ++reaped;
+    }
+    return reaped;
   };
 
   if (options.autoscale) {
@@ -392,22 +381,14 @@ void run_grid_coordinator(const ExperimentSpec& spec,
     // (backlog + outstanding leases, clamped to [1, max]).  Growth is one
     // spawn per tick so a short burst does not overshoot; surplus workers
     // are retired through Retire grants on their next Acquire.
-    std::size_t cap = options.autoscale_max;
-    if (cap == 0) {
-      cap = std::max(1u, std::thread::hardware_concurrency());
-    }
+    const std::size_t cap = fleet_size;
     log << "autoscaling local workers up to " << cap << "\n";
     std::size_t pending_retires = 0;
     while (!coordinator.finished() && !stop_requested()) {
-      for (auto it = children.begin(); it != children.end();) {
-        int status = 0;
-        if (::waitpid(*it, &status, WNOHANG) == *it) {
-          it = children.erase(it);
-          if (pending_retires > 0) --pending_retires;
-        } else {
-          ++it;
-        }
-      }
+      pending_retires -= std::min(pending_retires, reap(WNOHANG));
+      // Every shard may cost one crashed worker; beyond that the fleet
+      // is failing deterministically and respawning cannot finish it.
+      if (local_fleet_only && worker_failures > shard_count) break;
       const service::CoordinatorGauges gauges = coordinator.gauges();
       const std::size_t work =
           gauges.shard_backlog + gauges.leases_outstanding;
@@ -433,16 +414,20 @@ void run_grid_coordinator(const ExperimentSpec& spec,
       (void)coordinator.wait_finished(0.05);
     }
   } else {
-    for (std::size_t w = 0; w < options.cluster_workers; ++w) spawn();
-    if (options.cluster_workers > 0) {
-      log << "spawned " << options.cluster_workers
+    for (std::size_t w = 0; w < options.workers; ++w) spawn();
+    if (options.workers > 0) {
+      log << "spawned " << options.workers
           << " local worker(s)\n";
     } else {
       log << "waiting for external workers (dlsched_bench --worker "
           << "tcp://" << listen.host << ":" << coordinator.port() << ")\n";
     }
     log.flush();
+    // A fleet-only board has nobody else to wait for once every local
+    // worker is gone; a public one still admits external workers.
     while (!coordinator.finished() && !stop_requested()) {
+      (void)reap(WNOHANG);
+      if (local_fleet_only && children.empty()) break;
       (void)coordinator.wait_finished(0.1);
     }
   }
@@ -450,14 +435,7 @@ void run_grid_coordinator(const ExperimentSpec& spec,
   // Granting stops either way; leased shards still stream their
   // fragments in, so drained workers exit without wasting claimed work.
   coordinator.begin_drain();
-  std::size_t worker_failures = 0;
-  for (const pid_t pid : children) {
-    int status = 0;
-    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0) {
-      ++worker_failures;
-    }
-  }
+  (void)reap(0);
   if (worker_failures > 0) {
     log << worker_failures << " cluster worker(s) exited abnormally\n";
   }
@@ -476,22 +454,25 @@ void run_grid_coordinator(const ExperimentSpec& spec,
     if (!options.out_csv.empty()) {
       std::filesystem::remove(options.out_csv, ec);
     }
-    log << "dlsched_bench: coordinator drained (" << gauges.shards_done
-        << "/" << shard_count << " shard(s) done); artifacts not written\n";
+    const std::string why =
+        stop_requested() ? "coordinator drained"
+                         : "every local worker exited";
+    const std::string missing =
+        std::to_string(shard_count - gauges.shards_done) +
+        " shard(s) missing, " + std::to_string(gauges.shards_done) + "/" +
+        std::to_string(shard_count) + " done";
+    log << "dlsched_bench: " << why << " (" << missing
+        << "); artifacts not written\n";
     log.flush();
-    DLSCHED_FAIL("coordinator drained before completion (" +
-                 std::to_string(gauges.shards_done) + "/" +
-                 std::to_string(shard_count) + " shard(s) done)");
+    DLSCHED_FAIL(why + " before completion (" + missing + ")");
   }
 
   const double exec_seconds = since(phase_exec);
   const auto phase_join = steady_clock::now();
   const std::vector<ShardResult> results = coordinator.take_results();
   const service::CoordinatorGauges gauges = coordinator.gauges();
-  if (traces != nullptr) {
-    for (obs::ProcessTrace& trace : coordinator.take_worker_traces()) {
-      obs::merge_process_trace(*traces, std::move(trace));
-    }
+  for (obs::ProcessTrace& trace : coordinator.take_worker_traces()) {
+    obs::merge_process_trace(traces, std::move(trace));
   }
   coordinator.stop();
   ShardAssembler assembler(json, csv, summary, log);
@@ -699,34 +680,27 @@ RunSummary run_spec(const ExperimentSpec& requested,
   const auto start = options.run_epoch.value_or(steady_clock::now());
 
   const bool slice = options.shard_count > 0;
-  const bool multi = options.workers > 1;
-  const bool cluster = !options.coordinator.empty();
-  if (slice || multi || options.join_only || cluster) {
+  const bool fleet = !options.coordinator.empty() || options.workers > 1 ||
+                     options.autoscale;
+  if (slice || options.join_only || fleet) {
     DLSCHED_EXPECT(spec.kind == SpecKind::Grid,
                    "spec '" + spec.name + "' is kind '" +
                        kind_name(spec.kind) +
-                       "': --workers/--shard/--join apply to grid specs "
-                       "only");
+                       "': --workers/--coordinator/--shard/--join apply to "
+                       "grid specs only");
     DLSCHED_EXPECT(!options.cache_dir.empty(),
                    "distributed execution needs a cache directory (the "
-                   "shard board and the shared results live there); drop "
-                   "--no-cache");
-    DLSCHED_EXPECT(!(slice && (multi || options.join_only)),
-                   "--shard is a worker role; it excludes --workers and "
-                   "--join");
-    DLSCHED_EXPECT(!(multi && options.join_only),
-                   "--join assembles already-published fragments; it "
-                   "excludes --workers (which starts a fresh board)");
+                   "shard fragments and the shared results live there); "
+                   "drop --no-cache");
+    DLSCHED_EXPECT(!(slice && options.join_only),
+                   "--shard is a worker role; it excludes --join");
+    DLSCHED_EXPECT(!(fleet && (slice || options.join_only)),
+                   "--shard and --join work the fragment directory; they "
+                   "exclude --workers N and --coordinator");
     DLSCHED_EXPECT(!slice || options.shard_index < options.shard_count,
                    "--shard i/k needs i < k");
     DLSCHED_EXPECT(options.workers <= 256,
                    "--workers " + std::to_string(options.workers) +
-                       " is past the 256-process sanity cap");
-    DLSCHED_EXPECT(!(cluster && (slice || multi || options.join_only)),
-                   "--coordinator owns the whole run over TCP; it excludes "
-                   "the filesystem board's --workers N, --shard and --join");
-    DLSCHED_EXPECT(options.cluster_workers <= 256,
-                   "--workers " + std::to_string(options.cluster_workers) +
                        " is past the 256-process sanity cap");
   }
 
@@ -776,17 +750,12 @@ RunSummary run_spec(const ExperimentSpec& requested,
   std::vector<obs::ProcessTrace> worker_traces;
   switch (spec.kind) {
     case SpecKind::Grid:
-      if (cluster) {
+      if (fleet) {
         run_grid_coordinator(spec, options, cache, json_ptr, csv, summary,
-                             log, &worker_traces);
-      } else if (multi) {
-        run_grid_workers(spec, options, cache, json_ptr, csv, summary, log,
-                         &worker_traces);
+                             log, worker_traces);
       } else if (options.join_only) {
-        const std::vector<CompiledShard> shards = plan_shards(spec);
-        ShardBoard board(board_directory(options.cache_dir, spec, shards));
-        join_board(spec, shards, board, cache, json_ptr, csv, summary, log,
-                   &worker_traces);
+        run_grid_join(spec, options, cache, json_ptr, csv, summary, log,
+                      worker_traces);
       } else {
         run_grid(spec, options, cache, json_ptr, csv, summary, log);
       }

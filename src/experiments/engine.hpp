@@ -29,19 +29,20 @@ struct RunOptions {
   bool quick = false;      ///< shrink axes (CI smoke / tests)
   std::ostream* log = nullptr;  ///< tables + summary; null = std::cout
 
-  // ----- distributed execution (grid specs only; the shard board lives in
-  // the shared cache directory -- see experiments/scheduler.hpp) -----------
-  std::size_t workers = 1;       ///< >1: fork N work-stealing worker processes
+  // ----- fragment directory (grid specs only; it lives in the shared
+  // cache directory -- see experiments/scheduler.hpp) ---------------------
   std::size_t shard_count = 0;   ///< `--shard i/k` slice mode (0 = off):
   std::size_t shard_index = 0;   ///<   execute shards with index % k == i,
                                  ///<   publish fragments, skip artifacts
   bool join_only = false;        ///< assemble published fragments, no solving
-  double stale_seconds = 300.0;  ///< claim heartbeat timeout before stealing
 
-  // ----- cluster execution (grid specs only; the claim board lives in a
+  // ----- fleet execution (grid specs only; the lease board lives in a
   // TCP coordinator -- see service/coordinator.hpp) ------------------------
   std::string coordinator;       ///< "HOST:PORT" to listen on ("" = off)
-  std::size_t cluster_workers = 0;  ///< local TCP worker processes to fork
+  /// Local TCP worker processes to fork.  Without a coordinator, N >= 2
+  /// runs the board on an ephemeral loopback port and N <= 1 stays
+  /// in-process; with one, 0 waits for external `--worker` processes.
+  std::size_t workers = 0;
   bool autoscale = false;        ///< size the local fleet to the backlog
   std::size_t autoscale_max = 0; ///< autoscale cap (0 = hardware)
   double lease_ttl_seconds = 30.0;  ///< shard lease TTL before reassignment

@@ -1,25 +1,14 @@
 #include "experiments/scheduler.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace dlsched::experiments {
 
 namespace fs = std::filesystem;
-
-// --------------------------------------------------------------- the board --
 
 ShardBoard::ShardBoard(std::string directory)
     : directory_(std::move(directory)) {
@@ -30,76 +19,8 @@ ShardBoard::ShardBoard(std::string directory)
                  "cannot create shard board directory '" + directory_ + "'");
 }
 
-std::string ShardBoard::claim_path(const CompiledShard& shard) const {
-  return (fs::path(directory_) / (shard.id + ".claim")).string();
-}
-
 std::string ShardBoard::fragment_path(const CompiledShard& shard) const {
   return (fs::path(directory_) / (shard.id + ".part")).string();
-}
-
-void ShardBoard::reset() {
-  std::error_code ec;
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(directory_, ec)) {
-    if (ec) break;
-    std::error_code remove_ec;
-    fs::remove_all(entry.path(), remove_ec);
-  }
-}
-
-bool ShardBoard::is_done(const CompiledShard& shard) const {
-  std::error_code ec;
-  return fs::exists(fragment_path(shard), ec) && !ec;
-}
-
-bool ShardBoard::try_claim(const CompiledShard& shard,
-                           const std::string& worker_id) {
-  // Unique temp + hard link: the link call succeeds for exactly one
-  // worker per claim file, even over NFS.
-  const fs::path tmp = fs::path(directory_) /
-                       (shard.id + ".claimant." + worker_id);
-  {
-    std::ofstream out(tmp, std::ios::binary);
-    if (!out.good()) return false;
-    out << "worker " << worker_id << "\npid " << ::getpid() << '\n';
-  }
-  std::error_code ec;
-  fs::create_hard_link(tmp, claim_path(shard), ec);
-  std::error_code cleanup;
-  fs::remove(tmp, cleanup);
-  return !ec;
-}
-
-bool ShardBoard::try_steal_stale(const CompiledShard& shard,
-                                 double stale_seconds,
-                                 const std::string& worker_id) {
-  const fs::path claim = claim_path(shard);
-  std::error_code ec;
-  const fs::file_time_type heartbeat = fs::last_write_time(claim, ec);
-  if (ec) return false;  // claim vanished -- owner finished or released
-  const auto age = fs::file_time_type::clock::now() - heartbeat;
-  if (std::chrono::duration<double>(age).count() < stale_seconds) {
-    return false;
-  }
-  // Rename the stale claim aside: rename is atomic, so exactly one thief
-  // wins the steal; the loser's rename fails and it moves on.
-  static std::atomic<std::uint64_t> counter{0};
-  const fs::path aside =
-      claim.string() + ".stale." + worker_id + "." +
-      std::to_string(counter.fetch_add(1));
-  std::error_code rename_ec;
-  fs::rename(claim, aside, rename_ec);
-  if (rename_ec) return false;
-  std::error_code cleanup;
-  fs::remove(aside, cleanup);
-  return true;
-}
-
-void ShardBoard::heartbeat(const CompiledShard& shard) const {
-  std::error_code ec;
-  fs::last_write_time(claim_path(shard), fs::file_time_type::clock::now(),
-                      ec);
 }
 
 void ShardBoard::publish(const CompiledShard& shard,
@@ -112,8 +33,8 @@ void ShardBoard::publish(const CompiledShard& shard,
     DLSCHED_EXPECT(out.good(), "cannot write shard fragment under '" +
                                    directory_ + "'");
     out << serialized;
-    // A truncated fragment renamed into place would read as "done" to
-    // every worker while being unjoinable -- fail loudly instead.
+    // A truncated fragment renamed into place would only surface later
+    // as a missing shard at --join time -- fail loudly here instead.
     out.flush();
     DLSCHED_EXPECT(out.good(), "short write publishing shard fragment '" +
                                    target.string() + "'");
@@ -122,12 +43,6 @@ void ShardBoard::publish(const CompiledShard& shard,
   fs::rename(tmp, target, ec);
   DLSCHED_EXPECT(!ec, "cannot publish shard fragment '" + target.string() +
                           "'");
-  release(shard);
-}
-
-void ShardBoard::release(const CompiledShard& shard) const {
-  std::error_code ec;
-  fs::remove(claim_path(shard), ec);
 }
 
 std::optional<ShardResult> ShardBoard::load(
@@ -173,104 +88,6 @@ std::string board_directory(const std::string& cache_dir,
   return (fs::path(cache_dir) /
           ("board-" + spec.name + "-" + plan_fingerprint(shards)))
       .string();
-}
-
-// -------------------------------------------------------------- the worker --
-
-WorkerSummary run_worker(const ExperimentSpec& spec,
-                         const std::vector<CompiledShard>& shards,
-                         ShardBoard& board, ResultCache& cache,
-                         const SchedulerOptions& options) {
-  const std::string worker_id = options.worker_id.empty()
-                                    ? "pid" + std::to_string(::getpid())
-                                    : options.worker_id;
-  WorkerSummary summary;
-  while (true) {
-    bool all_done = true;
-    bool progressed = false;
-    for (const CompiledShard& shard : shards) {
-      if (board.is_done(shard)) continue;
-      all_done = false;
-      obs::ObsSpan claim_span("lease", "claim");
-      if (claim_span.active()) claim_span.rename("claim:" + shard.id);
-      bool claimed = board.try_claim(shard, worker_id);
-      if (!claimed &&
-          board.try_steal_stale(shard, options.stale_seconds, worker_id)) {
-        ++summary.stolen;
-        obs::ObsSpan steal_span("lease", "steal");
-        if (steal_span.active()) steal_span.rename("steal:" + shard.id);
-        claimed = board.try_claim(shard, worker_id);
-      }
-      claim_span.finish();
-      if (!claimed) continue;
-      // The claim may have been won just as the previous owner published:
-      // re-check before doing the work twice.
-      if (board.is_done(shard)) {
-        board.release(shard);
-        continue;
-      }
-      // Heartbeat from a side thread, not only from the per-job progress
-      // hook: one solve can legitimately outlast stale_seconds, and a
-      // live claim must never look stealable while its owner computes.
-      std::mutex mutex;
-      std::condition_variable cv;
-      bool finished = false;
-      std::thread beat([&] {
-        const auto period = std::chrono::duration<double>(
-            std::max(0.05, options.stale_seconds / 4.0));
-        std::unique_lock<std::mutex> lock(mutex);
-        while (!cv.wait_for(lock, period, [&] { return finished; })) {
-          board.heartbeat(shard);
-        }
-      });
-      ShardResult result;
-      try {
-        result = execute_shard(spec, shard, cache, options.threads,
-                               [&] { board.heartbeat(shard); });
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(mutex);
-          finished = true;
-        }
-        cv.notify_one();
-        beat.join();
-        throw;
-      }
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        finished = true;
-      }
-      cv.notify_one();
-      beat.join();
-      {
-        obs::ObsSpan publish_span("lease", "publish");
-        if (publish_span.active()) {
-          publish_span.rename("publish:" + shard.id);
-        }
-        board.publish(shard, serialize_shard_result(result), worker_id);
-      }
-      // Ship everything this worker recorded since its previous publish
-      // as the shard's trace sidecar; the joining process merges them.
-      if (obs::Tracer::instance().enabled()) {
-        board.publish_trace(
-            shard, obs::encode_trace(obs::Tracer::instance().drain()),
-            worker_id);
-      }
-      ++summary.executed;
-      summary.jobs += result.jobs;
-      summary.solved += result.solved;
-      summary.cache_hits += result.cache_hits;
-      progressed = true;
-    }
-    if (all_done) break;
-    if (!progressed) {
-      // Everything unfinished is claimed by someone else: wait for their
-      // fragments (or for their claims to go stale).
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(options.poll_seconds));
-    }
-  }
-  return summary;
 }
 
 }  // namespace dlsched::experiments

@@ -1,32 +1,16 @@
-// Work-stealing shard scheduler over a shared filesystem board.
+// The fragment directory behind `--shard i/k` and `--join`.
 //
-// N worker processes (forked by the engine's `--workers N` mode, or
-// launched independently against the same cache directory -- even from
-// different machines sharing it) claim shards through atomic claim files
-// in a board directory under the shared `ResultCache` directory.  The
-// protocol needs nothing but POSIX filesystem atomicity:
+// A `--shard` slice executes its static share of the plan and publishes
+// each finished shard as a fragment file in a board directory under the
+// shared `ResultCache` directory; `--join` later loads every fragment and
+// assembles the artifacts.  Fragments are written temp + rename, so a
+// reader only ever sees a whole file.  Traced slices publish their spans
+// as a `.trace` sidecar next to each fragment.
 //
-//   * claim:   write a unique temp file, then hard-link it to
-//              `<shard>.claim` -- the link succeeds for exactly one
-//              worker, even on NFS.
-//   * publish: serialize the `ShardResult` to a temp file and rename it
-//              to `<shard>.part`; a fragment is therefore always whole.
-//   * steal:   a claim whose mtime has not been refreshed for
-//              `stale_seconds` belongs to a crashed worker; the thief
-//              renames it aside (rename is atomic, so exactly one thief
-//              wins) and claims normally.  Live workers refresh their
-//              claim's mtime from a side heartbeat thread (period
-//              stale_seconds / 4, so even one solve that outlasts the
-//              timeout keeps the claim fresh) plus after every finished
-//              job, and every finished job was already checkpointed into
-//              the result cache, so re-running a reclaimed shard replays
-//              the dead worker's progress as cache hits.
-//
-// Faster workers simply claim more shards -- work stealing without any
-// queue, broker or lock server.
+// Process fleets (`--workers N`, `--coordinator`) lease their shards from
+// the TCP board in service/coordinator.hpp.
 #pragma once
 
-#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,9 +19,7 @@
 
 namespace dlsched::experiments {
 
-/// Filesystem state of one distributed run: claims and fragments for the
-/// shard plan it was created for.  Methods never throw on races -- losing
-/// a claim or a steal is a normal outcome.
+/// The fragment files of one shard plan.
 class ShardBoard {
  public:
   /// Opens (creating if needed) the board directory.
@@ -47,37 +29,10 @@ class ShardBoard {
     return directory_;
   }
 
-  /// Removes every claim and fragment: `--workers` runs start fresh so a
-  /// previous run's fragments can never leak into a new join.
-  void reset();
-
-  /// A published fragment exists for this shard.
-  [[nodiscard]] bool is_done(const CompiledShard& shard) const;
-
-  /// Atomically claims the shard for `worker_id`; false when another
-  /// worker holds it (or already finished it).
-  [[nodiscard]] bool try_claim(const CompiledShard& shard,
-                               const std::string& worker_id);
-
-  /// Steals a claim whose heartbeat is older than `stale_seconds`:
-  /// renames it aside so exactly one thief wins.  Returns true when the
-  /// caller may retry `try_claim`.
-  [[nodiscard]] bool try_steal_stale(const CompiledShard& shard,
-                                     double stale_seconds,
-                                     const std::string& worker_id);
-
-  /// Refreshes the claim's mtime (the liveness signal `try_steal_stale`
-  /// checks).  Called from the executor's per-job checkpoint.
-  void heartbeat(const CompiledShard& shard) const;
-
   /// Publishes a serialized result as the shard's fragment (temp +
-  /// rename), then drops the claim.
+  /// rename).
   void publish(const CompiledShard& shard, const std::string& serialized,
                const std::string& worker_id);
-
-  /// Drops the caller's claim without publishing (the shard turned out to
-  /// be finished by someone else).
-  void release(const CompiledShard& shard) const;
 
   /// Loads and parses the shard's fragment; nullopt when absent or torn.
   [[nodiscard]] std::optional<ShardResult> load(
@@ -95,7 +50,6 @@ class ShardBoard {
       const CompiledShard& shard) const;
 
  private:
-  [[nodiscard]] std::string claim_path(const CompiledShard& shard) const;
   [[nodiscard]] std::string fragment_path(const CompiledShard& shard) const;
 
   std::string directory_;
@@ -107,30 +61,5 @@ class ShardBoard {
 [[nodiscard]] std::string board_directory(
     const std::string& cache_dir, const ExperimentSpec& spec,
     const std::vector<CompiledShard>& shards);
-
-struct SchedulerOptions {
-  std::string worker_id;          ///< unique per process (default: pid)
-  double stale_seconds = 300.0;   ///< claim heartbeat timeout before steal
-  double poll_seconds = 0.05;     ///< wait between passes when blocked
-  std::size_t threads = 0;        ///< per-worker solve_batch pool size
-};
-
-/// What one worker process did.
-struct WorkerSummary {
-  std::size_t executed = 0;   ///< shards this worker claimed and published
-  std::size_t stolen = 0;     ///< stale claims it reclaimed
-  std::size_t jobs = 0;       ///< solver jobs inside its shards
-  std::size_t solved = 0;     ///< jobs it actually executed
-  std::size_t cache_hits = 0;
-};
-
-/// Runs the work-stealing loop over `shards` until every shard has a
-/// published fragment: repeatedly scan in planner order, claim (or steal)
-/// unfinished shards, execute them through the cached `solve_batch`
-/// pipeline, publish fragments.  Returns when the board is complete.
-[[nodiscard]] WorkerSummary run_worker(const ExperimentSpec& spec,
-                                       const std::vector<CompiledShard>& shards,
-                                       ShardBoard& board, ResultCache& cache,
-                                       const SchedulerOptions& options);
 
 }  // namespace dlsched::experiments

@@ -177,8 +177,7 @@ std::string plan_fingerprint(const std::vector<CompiledShard>& shards) {
 
 ShardResult execute_shard(const ExperimentSpec& spec,
                           const CompiledShard& shard, ResultCache& cache,
-                          std::size_t threads,
-                          const std::function<void()>& checkpoint) {
+                          std::size_t threads) {
   obs::ObsSpan span("shard", "execute");
   if (span.active()) span.rename("execute:" + shard.id);
   ShardResult result;
@@ -209,15 +208,13 @@ ShardResult execute_shard(const ExperimentSpec& spec,
       view_keys.emplace_back(hash, key);
     }
     // Checkpoint each finished job into the cache immediately (the hook
-    // is serialized by solve_batch): if this worker dies mid-shard,
-    // whoever reclaims the stale claim re-runs the shard as cache hits up
-    // to the point of the crash.
+    // is serialized by solve_batch): if this process dies mid-shard, a
+    // re-run over the same cache replays its finished jobs as hits.
     const BatchProgressHook hook = [&](const BatchProgress& progress,
                                        const BatchOutcome& outcome) {
       cache.store(view_keys[progress.job_index].first,
                   view_keys[progress.job_index].second,
                   cached_from_outcome(outcome));
-      if (checkpoint) checkpoint();
       return true;
     };
     const std::vector<BatchOutcome> outcomes =

@@ -4,8 +4,8 @@
 // points; this module slices the compiled grid into one shard per
 // (p, z, repetition) point so rows stream out as slices complete instead
 // of after one monolithic batch, and so independent worker processes can
-// claim slices through the scheduler (experiments/scheduler.hpp) with
-// weights fine enough to steal.  Shard ids are stable
+// lease slices from the coordinator (service/coordinator.hpp) with
+// weights fine enough to balance.  Shard ids are stable
 // content-derived hashes built from the `job_hash_hex` identities of the
 // jobs inside a shard: every process that plans the same spec computes the
 // same ids with no coordination, and any change to the spec's axes, seed,
@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <optional>
@@ -123,15 +122,13 @@ struct ShardResult {
 
 /// Executes one shard: per cell, a cache pass, a thread-pooled
 /// `solve_batch` over the misses, and row rendering.  Cells run in order.
-/// Completed jobs are checkpointed into the cache
-/// as they finish (via the batch progress hook), so a crashed worker's
-/// partial shard survives as cache hits for whoever reclaims the claim;
-/// `checkpoint`, when given, runs after each job on top of that (the
-/// scheduler refreshes its claim heartbeat there).
-[[nodiscard]] ShardResult execute_shard(
-    const ExperimentSpec& spec, const CompiledShard& shard,
-    ResultCache& cache, std::size_t threads,
-    const std::function<void()>& checkpoint = {});
+/// Completed jobs are checkpointed into the cache as they finish (via the
+/// batch progress hook), so a process killed mid-shard keeps its finished
+/// solves as cache hits for the next run over the same cache.
+[[nodiscard]] ShardResult execute_shard(const ExperimentSpec& spec,
+                                        const CompiledShard& shard,
+                                        ResultCache& cache,
+                                        std::size_t threads);
 
 /// Serializes a shard result as a fragment file body (doubles by bit
 /// pattern: a join replays the producing run's numbers exactly).

@@ -4,6 +4,8 @@
 #include <mutex>
 #include <utility>
 
+#include "util/fork_safety.hpp"
+
 namespace dlsched::numeric {
 
 namespace {
@@ -18,9 +20,16 @@ struct ArenaRegistry {
 };
 
 ArenaRegistry& registry() noexcept {
-  static ArenaRegistry* instance = new ArenaRegistry();
+  static ArenaRegistry* instance = [] {
+    auto* created = new ArenaRegistry();
+    hold_across_fork(created->mutex);
+    return created;
+  }();
   return *instance;
 }
+
+// Built before main (see util/fork_safety.hpp).
+[[maybe_unused]] const ArenaRegistry& g_registry = registry();
 
 /// Owner-thread increment.  A relaxed load/store pair compiles to the same
 /// plain add as `++counter` (no lock prefix: only this thread writes) while

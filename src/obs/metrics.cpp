@@ -3,6 +3,8 @@
 #include <bit>
 #include <cmath>
 
+#include "util/fork_safety.hpp"
+
 namespace dlsched::obs {
 
 void Log2Histogram::add(double seconds) noexcept {
@@ -115,8 +117,18 @@ std::vector<std::pair<std::string, std::int64_t>> MetricsRegistry::gauges()
 }
 
 MetricsRegistry& MetricsRegistry::process() {
-  static MetricsRegistry* registry = new MetricsRegistry();
+  static MetricsRegistry* registry = [] {
+    auto* created = new MetricsRegistry();
+    hold_across_fork(created->mutex_);
+    return created;
+  }();
   return *registry;
 }
+
+namespace {
+// Built before main (see util/fork_safety.hpp).
+[[maybe_unused]] const MetricsRegistry& g_process_registry =
+    MetricsRegistry::process();
+}  // namespace
 
 }  // namespace dlsched::obs

@@ -1,5 +1,7 @@
 #include "obs/trace.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <chrono>
 #include <map>
@@ -65,9 +67,36 @@ void sort_spans(std::vector<SpanRecord>& spans) {
 // ------------------------------------------------------------------ Tracer --
 
 Tracer& Tracer::instance() {
-  static Tracer* tracer = new Tracer();
+  static Tracer* tracer = [] {
+    auto* created = new Tracer();
+    // Held across fork() like util/fork_safety.hpp's mutexes, but as one
+    // handler: `relabel_after_fork` takes the registry and every buffer
+    // mutex, and they lock in the one order every other path uses --
+    // registry, then buffers.
+    const auto lock = [] {
+      Tracer& self = instance();
+      self.registry_mutex_.lock();
+      for (const std::shared_ptr<ThreadBuffer>& buffer : self.buffers_) {
+        buffer->mutex.lock();
+      }
+    };
+    const auto unlock = [] {
+      Tracer& self = instance();
+      for (const std::shared_ptr<ThreadBuffer>& buffer : self.buffers_) {
+        buffer->mutex.unlock();
+      }
+      self.registry_mutex_.unlock();
+    };
+    ::pthread_atfork(lock, unlock, unlock);
+    return created;
+  }();
   return *tracer;
 }
+
+namespace {
+// Built before main (see util/fork_safety.hpp).
+[[maybe_unused]] const Tracer& g_tracer = Tracer::instance();
+}  // namespace
 
 void Tracer::enable(std::string process_label) {
   const std::lock_guard<std::mutex> lock(registry_mutex_);

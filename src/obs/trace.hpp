@@ -17,7 +17,7 @@
 //    survive the join.
 //  - Remote processes ship their buffers as an encoded trace body (the
 //    optional `trace` section of FragmentPush, or a `.trace` sidecar
-//    next to a filesystem-board fragment); the engine merges every
+//    next to a `--shard` fragment); the engine merges every
 //    `ProcessTrace` into one timeline with one pid per process label.
 #pragma once
 

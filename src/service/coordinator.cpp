@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <utility>
 
@@ -29,6 +30,17 @@ Coordinator::Coordinator(const experiments::ExperimentSpec& spec,
                  "coordinator: lease TTL must be positive");
   slots_.resize(shards_.size());
   results_.resize(shards_.size());
+  shard_jobs_.resize(shards_.size());
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    for (const experiments::GridCell& cell : shards_[i].cells) {
+      for (const experiments::GridSlot& slot : cell.slots) {
+        WireCacheEntry job;
+        job.key = job_canonical_key(slot.solver, cell.request);
+        job.hash = job_hash_from_key(job.key);
+        shard_jobs_[i].push_back(std::move(job));
+      }
+    }
+  }
   gauges_.cluster = true;
   gauges_.shards_total = shards_.size();
   {
@@ -127,10 +139,9 @@ void Coordinator::sweep_expired_locked() {
   const auto now = std::chrono::steady_clock::now();
   for (Slot& slot : slots_) {
     if (slot.state == SlotState::Leased && slot.deadline < now) {
-      // The TCP analogue of stealing a stale claim: the lease re-pends
-      // and the next Acquire is granted it.  A late FragmentPush from
-      // the original holder still competes -- first accepted push wins,
-      // exactly like the filesystem board's publish rename.
+      // The lease re-pends and the next Acquire is granted it.  A late
+      // FragmentPush from the original holder still competes -- the
+      // first accepted push wins.
       slot.state = SlotState::Pending;
       slot.holder.clear();
       ++slot.reassignments;
@@ -156,6 +167,18 @@ std::string Coordinator::drain_frame() const {
   return encode_frame(FrameType::Drain, "coordinator is draining");
 }
 
+bool Coordinator::token_ok(const std::string& token) const {
+  const std::string& expected = config_.fleet_token;
+  if (expected.empty()) return true;
+  if (token.size() != expected.size()) return false;
+  // Constant-time: a wrong guess learns nothing from the reply latency.
+  unsigned char diff = 0;
+  for (std::size_t i = 0; i < token.size(); ++i) {
+    diff |= static_cast<unsigned char>(token[i] ^ expected[i]);
+  }
+  return diff == 0;
+}
+
 std::string Coordinator::handle_lease_payload(const std::string& payload) {
   LeaseRequestBody request;
   try {
@@ -163,6 +186,10 @@ std::string Coordinator::handle_lease_payload(const std::string& payload) {
   } catch (const std::exception& e) {
     stats_.on_protocol_error();
     return encode_frame(FrameType::ProtocolError, e.what());
+  }
+  if (!token_ok(request.fleet_token)) {
+    stats_.on_protocol_error();
+    return encode_frame(FrameType::ProtocolError, "fleet token mismatch");
   }
 
   if (request.kind == LeaseRequestBody::Kind::Renew) {
@@ -213,6 +240,7 @@ std::string Coordinator::handle_lease_payload(const std::string& payload) {
       if (slots_[i].state != SlotState::Pending) continue;
       slots_[i].state = SlotState::Leased;
       slots_[i].holder = request.worker_id;
+      slots_[i].grantees.push_back(request.worker_id);
       slots_[i].deadline =
           std::chrono::steady_clock::now() +
           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -248,16 +276,12 @@ std::string Coordinator::handle_lease_payload(const std::string& payload) {
     // the shard's jobs.  The worker seeds its scratch cache with these,
     // so its rows replay the cached numbers exactly as a local run would.
     const std::lock_guard<std::mutex> lock(cache_mutex_);
-    for (const experiments::GridCell& cell : shard.cells) {
-      for (const experiments::GridSlot& slot : cell.slots) {
-        WireCacheEntry entry;
-        entry.key = job_canonical_key(slot.solver, cell.request);
-        entry.hash = job_hash_from_key(entry.key);
-        if (const std::optional<experiments::CachedSolve> hit =
-                cache_.lookup(entry.hash, entry.key)) {
-          entry.body = encode_result_body(*hit);
-          grant.records.push_back(std::move(entry));
-        }
+    for (const WireCacheEntry& job : shard_jobs_[grant_index]) {
+      if (const std::optional<experiments::CachedSolve> hit =
+              cache_.lookup(job.hash, job.key)) {
+        WireCacheEntry entry = job;
+        entry.body = encode_result_body(*hit);
+        grant.records.push_back(std::move(entry));
       }
     }
   }
@@ -287,6 +311,10 @@ std::string Coordinator::handle_fragment_payload(
     return encode_frame(FrameType::Ack, encode_ack(ack));
   };
 
+  if (!token_ok(push.fleet_token)) {
+    stats_.on_protocol_error();
+    return encode_frame(FrameType::ProtocolError, "fleet token mismatch");
+  }
   if (push.shard_index >= shards_.size() ||
       shards_[push.shard_index].id != push.shard_id) {
     return refuse("unknown shard (stale plan?)");
@@ -310,6 +338,15 @@ std::string Coordinator::handle_fragment_payload(
   {
     const std::lock_guard<std::mutex> lock(board_mutex_);
     Slot& slot = slots_[push.shard_index];
+    if (std::find(slot.grantees.begin(), slot.grantees.end(),
+                  push.worker_id) == slot.grantees.end()) {
+      ++gauges_.fragments_discarded;
+      publish_gauges_locked();
+      AckBody ack;
+      ack.ok = false;
+      ack.message = "shard was never granted to this worker";
+      return encode_frame(FrameType::Ack, encode_ack(ack));
+    }
     if (slot.state == SlotState::Done ||
         slot.state == SlotState::Committing) {
       ++gauges_.fragments_discarded;
@@ -323,8 +360,18 @@ std::string Coordinator::handle_fragment_payload(
     slot.holder = push.worker_id;
   }
   {
+    // Only records of the shard's own jobs: a push cannot plant entries
+    // for requests it was never asked to solve.
+    const std::vector<WireCacheEntry>& jobs = shard_jobs_[push.shard_index];
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     for (const WireCacheEntry& entry : push.records) {
+      if (std::none_of(jobs.begin(), jobs.end(),
+                       [&entry](const WireCacheEntry& job) {
+                         return job.hash == entry.hash &&
+                                job.key == entry.key;
+                       })) {
+        continue;
+      }
       try {
         cache_.store(entry.hash, entry.key,
                      decode_result_body(entry.body));

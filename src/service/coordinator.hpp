@@ -1,28 +1,25 @@
 // The cluster coordinator: the work-stealing shard board, owned in
-// memory and served over TCP.
+// memory and served over TCP.  Every process fleet runs through it --
+// `--workers N` forks N local TCP workers against a coordinator on an
+// ephemeral loopback port, `--coordinator HOST:PORT` also admits external
+// `--worker` processes -- so a grid sweep can span machines with nothing
+// shared but the network:
 //
-// The filesystem board (experiments/scheduler.hpp) coordinates workers
-// through a shared cache directory: hard-link claims, mtime heartbeats,
-// fragment files.  A `Coordinator` carries the same semantics onto the
-// wire protocol so a grid sweep can span machines with nothing shared but
-// the network:
-//
-//   * hard-link claim        ->  shard lease with a deadline (LeaseGrant)
-//   * mtime heartbeat        ->  lease renewal (LeaseRequest kind=Renew)
-//   * rename-aside stealing  ->  lease-expiry reassignment (the sweep in
-//                                every Acquire re-pends expired leases)
-//   * fragment file          ->  FragmentPush (first accepted push wins;
-//                                duplicates are discarded, like losing
-//                                the publish rename)
+//   * a shard lease with a deadline (LeaseGrant), one holder at a time;
+//   * lease renewal (LeaseRequest kind=Renew) while the holder computes;
+//   * lease-expiry reassignment: the sweep in every Acquire re-pends
+//     expired leases, so a crashed worker costs one TTL;
+//   * FragmentPush: only from a worker the shard was granted to; the
+//     first accepted push wins, duplicates from a renewal race are
+//     discarded, and only records of the shard's own jobs are stored.
 //
 // Byte-identity is preserved by making the coordinator's `ResultCache`
 // the one synchronization medium: a Work grant ships the shard's cached
 // records (a warm worker replays them bit for bit), and an accepted
 // fragment ships the worker's fresh records back before the shard is
 // marked done.  After a cluster run, a single-process run over the
-// coordinator's cache directory renders the identical artifact -- the
-// invariant the filesystem board established in PR 4, with the cache dir
-// now private to the coordinator host.
+// coordinator's cache directory renders the identical artifact, with the
+// cache dir private to the coordinator host.
 //
 // The stats mailbox answers StatsQuery on the same port, extended with
 // the claim-board gauges (`CoordinatorGauges`).
@@ -53,6 +50,10 @@ struct CoordinatorConfig {
   double lease_ttl_seconds = 30.0; ///< unrenewed leases re-pend after this
   /// Advertised retry delay for Wait grants (everything leased out).
   double wait_retry_ms = 50.0;
+  /// Non-empty: refuse every Acquire, Renew and FragmentPush that does
+  /// not carry this secret (a forked local fleet's board).  Empty: any
+  /// worker that reaches the port may join.
+  std::string fleet_token;
 };
 
 class Coordinator {
@@ -115,6 +116,7 @@ class Coordinator {
   struct Slot {
     SlotState state = SlotState::Pending;
     std::string holder;  ///< worker id of the live lease
+    std::vector<std::string> grantees;  ///< every worker ever granted it
     std::chrono::steady_clock::time_point deadline{};
     std::size_t reassignments = 0;
   };
@@ -129,9 +131,12 @@ class Coordinator {
   /// Mirrors the board shape into the stats mailbox (board lock held).
   void publish_gauges_locked();
   [[nodiscard]] std::string drain_frame() const;
+  [[nodiscard]] bool token_ok(const std::string& token) const;
 
   experiments::ExperimentSpec spec_;
   std::vector<experiments::CompiledShard> shards_;
+  /// Per shard: the (hash, key) of every job, bodies empty.
+  std::vector<std::vector<WireCacheEntry>> shard_jobs_;
   std::string spec_toml_;
   std::string fingerprint_;
   CoordinatorConfig config_;

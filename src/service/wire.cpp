@@ -1,7 +1,10 @@
 #include "service/wire.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <initializer_list>
 #include <sstream>
+#include <utility>
 
 #include "experiments/emitter.hpp"
 #include "obs/trace.hpp"
@@ -26,18 +29,50 @@ void put_blob(std::ostream& out, const std::string& label,
   out << label << ' ' << text.size() << '\n' << text << '\n';
 }
 
-std::string get_blob(std::istream& in, const std::string& label) {
-  std::string seen;
+/// The size and bytes of a blob whose label was already read.
+std::string get_blob_text(std::istream& in, const std::string& label) {
   std::size_t size = 0;
-  in >> seen >> size;
-  DLSCHED_EXPECT(seen == label && in.good(),
-                 "wire body: expected '" + label + "' blob");
+  in >> size;
+  DLSCHED_EXPECT(in.good(), "wire body: expected '" + label + "' blob");
   in.ignore(1);  // the newline after the size
   std::string text(size, '\0');
   in.read(text.data(), static_cast<std::streamsize>(size));
   in.ignore(1);
   DLSCHED_EXPECT(in.good(), "wire body: truncated '" + label + "' blob");
   return text;
+}
+
+std::string get_blob(std::istream& in, const std::string& label) {
+  std::string seen;
+  in >> seen;
+  DLSCHED_EXPECT(seen == label && in.good(),
+                 "wire body: expected '" + label + "' blob");
+  return get_blob_text(in, label);
+}
+
+/// Reads a body's optional trailing blobs up to its end marker.  An
+/// optional section is on the wire only when non-empty, so a body
+/// without it keeps its exact bytes; `sections` names each label's
+/// destination.
+void get_optional_blobs(
+    std::istream& in, const char* what,
+    std::initializer_list<std::pair<const char*, std::string*>> sections) {
+  for (;;) {
+    std::string label;
+    in >> label;
+    DLSCHED_EXPECT(!in.fail(), std::string("wire body: missing ") + what +
+                                   " end marker");
+    if (label == "end") return;
+    const auto section =
+        std::find_if(sections.begin(), sections.end(),
+                     [&label](const auto& entry) {
+                       return label == entry.first;
+                     });
+    DLSCHED_EXPECT(section != sections.end(),
+                   std::string("wire body: missing ") + what +
+                       " end marker");
+    *section->second = get_blob_text(in, label);
+  }
 }
 
 void put_indices(std::ostream& out, const std::string& label,
@@ -463,6 +498,7 @@ std::string encode_lease_request(const LeaseRequestBody& body) {
   out << "retirable " << body.retirable << '\n';
   out << "shard " << body.shard_index << '\n';
   put_blob(out, "id", body.shard_id);
+  if (!body.fleet_token.empty()) put_blob(out, "token", body.fleet_token);
   out << "end\n";
   return out.str();
 }
@@ -487,7 +523,8 @@ LeaseRequestBody decode_lease_request(std::string_view body) {
   DLSCHED_EXPECT(!in.fail(), "wire body: truncated lease request");
   in.ignore(1);
   request.shard_id = get_blob(in, "id");
-  expect_end(in, "lease-request");
+  get_optional_blobs(in, "lease-request",
+                     {{"token", &request.fleet_token}});
   return request;
 }
 
@@ -563,6 +600,7 @@ std::string encode_fragment_push(const FragmentPushBody& body) {
   put_blob(out, "fingerprint", body.plan_fingerprint);
   put_blob(out, "fragment", body.fragment);
   put_entries(out, body.records);
+  if (!body.fleet_token.empty()) put_blob(out, "token", body.fleet_token);
   if (!body.trace.empty()) put_blob(out, "trace", body.trace);
   out << "end\n";
   return out.str();
@@ -581,23 +619,8 @@ FragmentPushBody decode_fragment_push(std::string_view body) {
   push.plan_fingerprint = get_blob(in, "fingerprint");
   push.fragment = get_blob(in, "fragment");
   push.records = get_entries(in);
-  // Optional trace section: present only when the worker was tracing.
-  std::string label;
-  in >> label;
-  DLSCHED_EXPECT(!in.fail(), "wire body: truncated fragment push");
-  if (label == "trace") {
-    std::size_t size = 0;
-    in >> size;
-    DLSCHED_EXPECT(in.good(), "wire body: expected 'trace' blob");
-    in.ignore(1);
-    push.trace.assign(size, '\0');
-    in.read(push.trace.data(), static_cast<std::streamsize>(size));
-    in.ignore(1);
-    DLSCHED_EXPECT(in.good(), "wire body: truncated 'trace' blob");
-    in >> label;
-  }
-  DLSCHED_EXPECT(label == "end" && !in.fail(),
-                 "wire body: missing fragment-push end marker");
+  get_optional_blobs(in, "fragment-push",
+                     {{"token", &push.fleet_token}, {"trace", &push.trace}});
   return push;
 }
 

@@ -155,9 +155,9 @@ struct RejectInfo {
 // --------------------------------------------------- cluster lease bodies --
 //
 // The TCP shard board (service/coordinator.hpp).  A coordinator owns the
-// claim board in memory -- leases with deadlines replace the filesystem
-// board's hard-link claims -- and workers stream serialized `ShardResult`
-// fragments back over the same framed protocol.  The result cache is the
+// lease board in memory -- one lease with a deadline per granted shard --
+// and workers stream serialized `ShardResult` fragments back over the
+// same framed protocol.  The result cache is the
 // synchronization medium: a Work grant ships the shard's cached records
 // so warm workers replay them bit-exactly, and an accepted fragment ships
 // the worker's fresh records back, keeping the coordinator's cache (and
@@ -173,7 +173,7 @@ struct WireCacheEntry {
 };
 
 /// Worker -> coordinator: acquire a new shard lease, or renew a held one
-/// (the TCP analogue of the filesystem board's mtime heartbeat).
+/// (the heartbeat that keeps a lease from expiring).
 struct LeaseRequestBody {
   enum class Kind : std::uint8_t { Acquire, Renew };
   Kind kind = Kind::Acquire;
@@ -183,6 +183,9 @@ struct LeaseRequestBody {
   bool retirable = false;
   std::size_t shard_index = 0;  ///< Renew: the held shard
   std::string shard_id;         ///< Renew: cross-check against the plan
+  /// Optional wire section: the secret of a coordinator that admits only
+  /// its own forked fleet.  Empty = absent on the wire.
+  std::string fleet_token;
 };
 
 [[nodiscard]] std::string encode_lease_request(const LeaseRequestBody& body);
@@ -213,8 +216,8 @@ struct LeaseGrantBody {
 [[nodiscard]] LeaseGrantBody decode_lease_grant(std::string_view body);
 
 /// Worker -> coordinator: one completed shard.  `fragment` is the
-/// `serialize_shard_result` byte stream (exactly what the filesystem
-/// board writes to a fragment file); `records` carries every cache entry
+/// `serialize_shard_result` byte stream (exactly what a `--shard` slice
+/// writes to a fragment file); `records` carries every cache entry
 /// for the shard's jobs so the coordinator's cache ends up as if it had
 /// executed the shard itself.
 struct FragmentPushBody {
@@ -224,6 +227,7 @@ struct FragmentPushBody {
   std::string plan_fingerprint;
   std::string fragment;
   std::vector<WireCacheEntry> records;
+  std::string fleet_token;  ///< optional section, as in LeaseRequestBody
   /// Optional wire section: the worker's encoded `obs` trace buffer
   /// (spans since its previous push).  Empty = absent on the wire, so
   /// untraced runs ship exactly the bytes they always did.

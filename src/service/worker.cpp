@@ -53,17 +53,14 @@ class ScratchDir {
 /// at 50ms) while a shard executes.  Every failure mode -- refused
 /// renewal, drain, closed socket -- just stops the heartbeat: execution
 /// continues and the coordinator's first-accepted-push-wins commit
-/// resolves any race, exactly like a worker whose mtime refresh stalls on
-/// the filesystem board.
+/// resolves any race.
 class LeaseRenewer {
  public:
-  LeaseRenewer(net::Endpoint endpoint, std::string worker_id,
-               std::size_t shard_index, std::string shard_id,
+  LeaseRenewer(net::Endpoint endpoint, const LeaseRequestBody& renew,
                double ttl_seconds)
       : endpoint_(std::move(endpoint)),
-        worker_id_(std::move(worker_id)),
-        shard_index_(shard_index),
-        shard_id_(std::move(shard_id)),
+        frame_(encode_frame(FrameType::LeaseRequest,
+                            encode_lease_request(renew))),
         period_seconds_(ttl_seconds / 4.0 < 0.05 ? 0.05 : ttl_seconds / 4.0) {
     thread_ = std::thread([this] { loop(); });
   }
@@ -85,13 +82,6 @@ class LeaseRenewer {
       return;  // no heartbeat; the TTL race decides
     }
     std::string buffer;
-    LeaseRequestBody renew;
-    renew.kind = LeaseRequestBody::Kind::Renew;
-    renew.worker_id = worker_id_;
-    renew.shard_index = shard_index_;
-    renew.shard_id = shard_id_;
-    const std::string frame =
-        encode_frame(FrameType::LeaseRequest, encode_lease_request(renew));
     for (;;) {
       {
         std::unique_lock<std::mutex> lock(mutex_);
@@ -101,7 +91,7 @@ class LeaseRenewer {
       }
       try {
         const obs::ObsSpan renew_span("lease", "renew");
-        if (!net::send_all(fd, frame)) break;
+        if (!net::send_all(fd, frame_)) break;
         const Frame reply = net::read_frame(fd, buffer, "renewer");
         if (reply.type != FrameType::Ack) break;  // Drain, or junk
         if (!decode_ack(reply.payload).ok) break;  // lease lost
@@ -113,9 +103,7 @@ class LeaseRenewer {
   }
 
   net::Endpoint endpoint_;
-  std::string worker_id_;
-  std::size_t shard_index_;
-  std::string shard_id_;
+  std::string frame_;  ///< the encoded Renew request
   double period_seconds_;
   std::mutex mutex_;
   std::condition_variable cv_;
@@ -175,6 +163,7 @@ TcpWorkerSummary run_tcp_worker(const TcpWorkerOptions& options,
   acquire.kind = LeaseRequestBody::Kind::Acquire;
   acquire.worker_id = options.worker_id;
   acquire.retirable = options.retirable;
+  acquire.fleet_token = options.fleet_token;
   const std::string acquire_frame =
       encode_frame(FrameType::LeaseRequest, encode_lease_request(acquire));
 
@@ -254,8 +243,13 @@ TcpWorkerSummary run_tcp_worker(const TcpWorkerOptions& options,
 
     experiments::ShardResult result;
     {
-      const LeaseRenewer renewer(endpoint, options.worker_id, shard.index,
-                                 shard.id, grant.lease_ttl_seconds);
+      LeaseRequestBody renew;
+      renew.kind = LeaseRequestBody::Kind::Renew;
+      renew.worker_id = options.worker_id;
+      renew.shard_index = shard.index;
+      renew.shard_id = shard.id;
+      renew.fleet_token = options.fleet_token;
+      const LeaseRenewer renewer(endpoint, renew, grant.lease_ttl_seconds);
       result = experiments::execute_shard(plan.spec, shard, cache, threads);
     }
 
@@ -266,6 +260,7 @@ TcpWorkerSummary run_tcp_worker(const TcpWorkerOptions& options,
     push.shard_index = shard.index;
     push.shard_id = shard.id;
     push.plan_fingerprint = grant.plan_fingerprint;
+    push.fleet_token = options.fleet_token;
     push.fragment = experiments::serialize_shard_result(result);
     for (const experiments::GridCell& cell : shard.cells) {
       for (const experiments::GridSlot& slot : cell.slots) {

@@ -1,5 +1,5 @@
 // The TCP shard worker: the remote end of the cluster coordinator's
-// claim board (service/coordinator.hpp).
+// lease board (service/coordinator.hpp).
 //
 // `run_tcp_worker` connects to a coordinator, then loops: acquire a
 // lease, re-plan the shipped spec locally (the plan fingerprints must
@@ -8,8 +8,7 @@
 // through the ordinary per-shard executor, and stream the serialized
 // result back as a FragmentPush together with every cache entry the
 // shard produced.  A renewal thread heartbeats the lease on a second
-// connection while the shard runs, the TCP analogue of the filesystem
-// board's mtime refresh.
+// connection while the shard runs.
 //
 // The worker is expendable by design: losing a renewal race does not
 // abort execution (the coordinator's first-accepted-push-wins commit
@@ -30,6 +29,9 @@ struct TcpWorkerOptions {
   /// Coordinator-spawned local workers set this; the autoscaler may then
   /// answer an Acquire with a Retire grant as backlog drains.
   bool retirable = false;
+  /// The coordinator's `CoordinatorConfig::fleet_token`, sent with every
+  /// lease request and push (empty for an open coordinator).
+  std::string fleet_token;
   /// Scratch cache directory.  Empty (the default): a fresh private
   /// temp directory, removed when the worker exits.
   std::string scratch_dir;

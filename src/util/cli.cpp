@@ -36,6 +36,13 @@ CliArgs CliArgs::parse(int argc, const char* const* argv,
   return args;
 }
 
+std::vector<std::string> CliArgs::option_names() const {
+  std::vector<std::string> names;
+  names.reserve(options_.size());
+  for (const auto& [name, value] : options_) names.push_back(name);
+  return names;
+}
+
 bool CliArgs::has(const std::string& option) const {
   return options_.count(option) > 0;
 }

@@ -21,6 +21,8 @@ class CliArgs {
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
+  /// Every option given, flags included, in name order.
+  [[nodiscard]] std::vector<std::string> option_names() const;
   [[nodiscard]] bool has(const std::string& option) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& option) const;
   [[nodiscard]] std::string get_or(const std::string& option,

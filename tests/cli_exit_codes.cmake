@@ -39,3 +39,9 @@ expect_exit(1 "" ${BENCH} --spec no_such_spec)
 expect_exit(0 "--spec-file.*--threads.*--worker" ${BENCH} --help)
 expect_exit(1 "" ${CLI} solve --p)
 expect_exit(0 "usage: dlsched_cli" ${CLI} --help)
+# Unknown options fail loudly instead of being ignored -- including the
+# retired filesystem-board knob.
+expect_exit(1 "" ${BENCH} --bogus x)
+expect_exit(1 "" ${BENCH} --spec smoke --stale-seconds 5)
+expect_exit(1 "" ${CLI} bench --bogus x)
+expect_exit(1 "" ${CLI} bench --spec smoke --stale-seconds 5)

@@ -4,8 +4,8 @@
 // byte-identical to a single-process run over the same cache, a worker
 // that dies mid-FragmentPush loses its lease exactly once (and the torn
 // frame never corrupts the board), StatsQuery exposes the board gauges,
-// draining sends workers away, and the staleness flags validate their
-// accepted ranges.
+// draining sends workers away, and the lease TTL flag validates its
+// accepted range.
 //
 // No forks here: the coordinator runs inside `run_spec` on one thread
 // and the workers are `run_tcp_worker` calls on others, so a failing
@@ -413,23 +413,102 @@ TEST(ClusterDrain, DrainingCoordinatorSendsWorkersAway) {
   coordinator.stop();
 }
 
+TEST(ClusterAdmission, FleetTokenGatesTheBoardAndPushesStoreOnlyTheirShard) {
+  ScratchDir scratch("admission");
+  const ExperimentSpec spec = small_grid_spec();
+  const std::vector<CompiledShard> shards = plan_shards(spec);
+  ResultCache cache(scratch.dir() + "/cache");
+  service::CoordinatorConfig config;
+  config.fleet_token = "s3cret";
+  service::Coordinator coordinator(spec, shards, cache, config);
+  const int fd = connect_with_retry(coordinator.endpoint());
+  std::string buffer;
+  const auto exchange = [&](service::FrameType type,
+                            const std::string& body) {
+    EXPECT_TRUE(
+        service::net::send_all(fd, service::encode_frame(type, body)));
+    return service::net::read_frame(fd, buffer, "test");
+  };
+
+  // No token, or the wrong one: refused before any lease is granted.
+  service::LeaseRequestBody acquire;
+  acquire.worker_id = "member";
+  for (const char* token : {"", "s3creT"}) {
+    acquire.fleet_token = token;
+    EXPECT_EQ(exchange(service::FrameType::LeaseRequest,
+                       service::encode_lease_request(acquire))
+                  .type,
+              service::FrameType::ProtocolError);
+  }
+  acquire.fleet_token = "s3cret";
+  const service::Frame reply = exchange(
+      service::FrameType::LeaseRequest, service::encode_lease_request(acquire));
+  ASSERT_EQ(reply.type, service::FrameType::LeaseGrant);
+  const service::LeaseGrantBody grant =
+      service::decode_lease_grant(reply.payload);
+  ASSERT_EQ(grant.kind, service::LeaseGrantBody::Kind::Work);
+
+  const auto job = [&](std::size_t shard) {
+    const GridCell& cell = shards[shard].cells.front();
+    service::WireCacheEntry entry;
+    entry.key = job_canonical_key(cell.slots.front().solver, cell.request);
+    entry.hash = job_hash_from_key(entry.key);
+    entry.body = service::encode_result_body(service::SolveRecord{});
+    return entry;
+  };
+  const service::WireCacheEntry own = job(grant.shard_index);
+  const service::WireCacheEntry foreign =
+      job((grant.shard_index + 1) % shards.size());
+  ShardResult result;
+  result.id = grant.shard_id;
+  result.index = grant.shard_index;
+  service::FragmentPushBody push;
+  push.shard_index = grant.shard_index;
+  push.shard_id = grant.shard_id;
+  push.plan_fingerprint = grant.plan_fingerprint;
+  push.fragment = serialize_shard_result(result);
+  push.records = {own, foreign};
+  push.fleet_token = "s3cret";
+
+  // A token holder the shard was never granted to cannot commit it...
+  push.worker_id = "outsider";
+  const service::AckBody refused = service::decode_ack(
+      exchange(service::FrameType::FragmentPush,
+               service::encode_fragment_push(push))
+          .payload);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_NE(refused.message.find("never granted"), std::string::npos)
+      << refused.message;
+
+  // ...the grantee can, and only its own shard's record is stored.
+  push.worker_id = "member";
+  const service::AckBody accepted = service::decode_ack(
+      exchange(service::FrameType::FragmentPush,
+               service::encode_fragment_push(push))
+          .payload);
+  EXPECT_TRUE(accepted.ok);
+  EXPECT_EQ(accepted.message, "accepted");
+  ::close(fd);
+  coordinator.stop();
+  EXPECT_TRUE(cache.lookup(own.hash, own.key).has_value());
+  EXPECT_FALSE(cache.lookup(foreign.hash, foreign.key).has_value());
+}
+
 TEST(ClusterFlags, OutOfRangeStalenessKnobsNameTheAcceptedRange) {
-  for (const char* flag : {"--stale-seconds", "--lease-ttl"}) {
-    for (const char* value : {"0.01", "9000"}) {
-      std::vector<const char*> argv{"dlsched_bench", "--spec",   "smoke",
-                                    "--quick",       "--no-json", "--no-csv",
-                                    "--no-cache",    flag,        value};
-      const CliArgs args = CliArgs::parse(static_cast<int>(argv.size()),
-                                          argv.data(), bench_flags());
-      try {
-        (void)bench_main(args);
-        FAIL() << flag << " " << value << " was accepted";
-      } catch (const Error& e) {
-        EXPECT_NE(
-            std::string(e.what()).find("accepted: 0.05 to 3600 seconds"),
-            std::string::npos)
-            << e.what();
-      }
+  for (const char* value : {"0.01", "9000"}) {
+    std::vector<const char*> argv{"dlsched_bench", "--spec",    "smoke",
+                                  "--quick",       "--no-json", "--no-csv",
+                                  "--no-cache",    "--lease-ttl", value};
+    const CliArgs args = CliArgs::parse(static_cast<int>(argv.size()),
+                                        argv.data(), bench_flags());
+    try {
+      (void)bench_main(args);
+      FAIL() << "--lease-ttl " << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(
+          std::string(e.what()).find("accepted: 0.05 to 3600 seconds"),
+          std::string::npos)
+          << e.what();
     }
   }
 }

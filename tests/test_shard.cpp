@@ -1,18 +1,18 @@
 // Tests of the sharded, multi-process experiment pipeline: deterministic
 // shard planning (stable ids, union == full grid), fragment round-trips,
-// forked work-stealing workers producing byte-identical joined artifacts,
-// static --shard slices + --join, and stale-claim reclaim after a worker
-// dies mid-run.
+// forked local TCP workers (`--workers N`) producing byte-identical
+// joined artifacts, and static --shard slices + --join.  Crash recovery
+// of a worker fleet is the lease board's, covered in test_cluster.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "experiments/engine.hpp"
-#include "experiments/scheduler.hpp"
 #include "experiments/shard.hpp"
 #include "experiments/spec_registry.hpp"
 #include "util/error.hpp"
@@ -308,6 +308,70 @@ TEST(ShardScheduler, ForkedWorkersSolveFromAColdCache) {
   const CacheInventory inventory =
       ResultCache::inspect(options.cache_dir);
   EXPECT_EQ(inventory.entries, 16u);
+  // The fleet ran over the TCP lease board: no fragment directory.
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(options.cache_dir)) {
+    EXPECT_NE(entry.path().filename().string().rfind("board-", 0), 0u)
+        << entry.path();
+  }
+}
+
+TEST(ShardScheduler, AFleetThatDiesFailsTheRunInsteadOfHanging) {
+  ScratchDir scratch("deadfleet");
+  // Every forked worker fails its setup and exits: its private scratch
+  // cache goes under TMPDIR, which here names a regular file.
+  const std::string not_a_dir = scratch.file("not-a-dir");
+  std::ofstream(not_a_dir) << "x";
+  struct TmpdirOverride {
+    explicit TmpdirOverride(const std::string& value) {
+      if (const char* old = std::getenv("TMPDIR")) saved = old;
+      ::setenv("TMPDIR", value.c_str(), 1);
+    }
+    ~TmpdirOverride() {
+      if (saved) {
+        ::setenv("TMPDIR", saved->c_str(), 1);
+      } else {
+        ::unsetenv("TMPDIR");
+      }
+    }
+    std::optional<std::string> saved;
+  };
+
+  // A fixed fleet of 2, then an autoscaled one that keeps respawning
+  // until more workers have failed than there are shards (8).
+  for (const bool autoscale : {false, true}) {
+    std::ostringstream log;
+    RunOptions options;
+    options.out_json = scratch.file("mp.json");
+    options.cache_dir = scratch.dir() + "/cache";
+    options.threads = 1;
+    options.workers = autoscale ? 0 : 2;
+    options.autoscale = autoscale;
+    options.autoscale_max = 2;
+    options.log = &log;
+    try {
+      const TmpdirOverride tmpdir(not_a_dir);
+      (void)run_spec(small_grid_spec(), options);
+      ADD_FAILURE() << "expected dlsched::Error (autoscale " << autoscale
+                    << ")";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("every local worker exited"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("8 shard(s) missing"), std::string::npos) << what;
+    }
+    const std::string text = log.str();
+    const std::size_t at = text.find(" cluster worker(s) exited abnormally");
+    ASSERT_NE(at, std::string::npos) << text;
+    const std::size_t failed =
+        std::stoul(text.substr(text.rfind('\n', at) + 1));
+    if (autoscale) {
+      EXPECT_GE(failed, 9u) << text;
+    } else {
+      EXPECT_EQ(failed, 2u) << text;
+    }
+    EXPECT_FALSE(fs::exists(options.out_json));
+  }
 }
 
 TEST(ShardScheduler, StaticSlicesPlusJoinMatchSingleProcess) {
@@ -372,54 +436,6 @@ TEST(ShardScheduler, JoinNamesTheMissingFragments) {
     EXPECT_NE(what.find(shards[1].id), std::string::npos);
     EXPECT_NE(what.find(shards[3].id), std::string::npos);
   }
-}
-
-TEST(ShardScheduler, StaleClaimIsStolenAndTheShardCompletes) {
-  ScratchDir scratch("stale");
-  const ExperimentSpec spec = small_grid_spec();
-  const std::vector<CompiledShard> shards = plan_shards(spec);
-  ShardBoard board(
-      board_directory(scratch.dir() + "/cache", spec, shards));
-
-  // A worker claimed shard 0 and died: the claim file exists, its
-  // heartbeat long stale, and no fragment was ever published.
-  ASSERT_TRUE(board.try_claim(shards[0], "dead-worker"));
-  ASSERT_FALSE(board.try_claim(shards[0], "live-worker"));  // exclusive
-  const fs::path claim =
-      fs::path(board.directory()) / (shards[0].id + ".claim");
-  fs::last_write_time(claim, fs::file_time_type::clock::now() -
-                                 std::chrono::hours(1));
-
-  // A fresh claim is not stealable...
-  ASSERT_TRUE(board.try_claim(shards[1], "dead-worker"));
-  EXPECT_FALSE(board.try_steal_stale(shards[1], 3600.0, "live-worker"));
-  board.release(shards[1]);
-
-  // ...but the stale one is, and the surviving worker then finishes the
-  // whole board, including the reclaimed shard.
-  ResultCache cache(scratch.dir() + "/cache");
-  SchedulerOptions options;
-  options.worker_id = "live-worker";
-  options.stale_seconds = 60.0;  // far under the 1 h manufactured age
-  options.threads = 1;
-  const WorkerSummary summary =
-      run_worker(spec, shards, board, cache, options);
-  EXPECT_GE(summary.stolen, 1u);
-  EXPECT_EQ(summary.executed, shards.size());
-  for (const CompiledShard& shard : shards) {
-    EXPECT_TRUE(board.is_done(shard)) << "shard " << shard.index;
-  }
-
-  // The reclaim left a joinable board behind.
-  std::ostringstream log;
-  RunOptions join;
-  join.cache_dir = scratch.dir() + "/cache";
-  join.join_only = true;
-  join.out_json = scratch.file("join.json");
-  join.log = &log;
-  const RunSummary joined = run_spec(spec, join);
-  EXPECT_EQ(joined.jobs, 16u);
-  EXPECT_EQ(joined.failures, 0u);
 }
 
 TEST(ShardScheduler, DistributedFlagsRejectNonGridAndCachelessRuns) {

@@ -150,6 +150,14 @@ TEST(WireBodies, LeaseRequestRoundTripsBothKinds) {
   EXPECT_EQ(r.shard_index, 7u);
   EXPECT_EQ(r.shard_id, renew.shard_id);
   EXPECT_FALSE(r.retirable);
+  EXPECT_TRUE(r.fleet_token.empty());
+
+  // The optional fleet token rides before "end"; absent, the body has
+  // no token section at all.
+  EXPECT_EQ(encode_lease_request(renew).find("token"), std::string::npos);
+  renew.fleet_token = "0123abcd";
+  EXPECT_EQ(decode_lease_request(encode_lease_request(renew)).fleet_token,
+            "0123abcd");
 }
 
 TEST(WireBodies, LeaseGrantRoundTripsWorkWithRecords) {
@@ -212,6 +220,12 @@ TEST(WireBodies, FragmentPushAndAckRoundTrip) {
       decode_fragment_push(encode_fragment_push(push));
   EXPECT_EQ(traced.trace, push.trace);
   EXPECT_EQ(traced.fragment, push.fragment);
+  EXPECT_TRUE(traced.fleet_token.empty());
+  push.fleet_token = "feedface";
+  const FragmentPushBody tokened =
+      decode_fragment_push(encode_fragment_push(push));
+  EXPECT_EQ(tokened.fleet_token, push.fleet_token);
+  EXPECT_EQ(tokened.trace, push.trace);
 
   const AckBody ok{true, "accepted"};
   const AckBody no{false, "plan fingerprint mismatch"};
