@@ -138,8 +138,7 @@ void print_stats_report(const std::string& json) {
               << " reassignment(s), "
               << json_field(json, "fragment_bytes") << " fragment byte(s), "
               << json_field(json, "fragments_discarded") << " discarded, "
-              << json_field(json, "workers_spawned") << " spawned / "
-              << json_field(json, "workers_retired") << " retired\n";
+              << json_field(json, "workers_spawned") << " spawned\n";
   }
 }
 

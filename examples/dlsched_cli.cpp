@@ -13,6 +13,7 @@
 //   z 0.5
 //   node-a 0.08 0.30
 //   node-b 0.12 0.20 0.06
+#include <algorithm>
 #include <csignal>
 #include <atomic>
 #include <chrono>
@@ -34,6 +35,7 @@
 #include "service/server.hpp"
 #include "sim/des_executor.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
@@ -47,25 +49,60 @@ struct Command {
   const char* name;
   const char* arguments;
   const char* summary;
+  /// Every option the command reads, space-separated without the "--";
+  /// anything else is refused before dispatch.  nullptr: the command
+  /// checks its own list (bench: `dlsched_bench --help`).
+  const char* options;
 };
 
 constexpr Command kCommands[] = {
-    {"describe", "[platform-file]", "print the platform and its serialized form"},
+    {"describe", "[platform-file]",
+     "print the platform and its serialized form", ""},
     {"solve", "[platform-file] [--solver NAME] [--load M]",
-     "run one solver and print the schedule"},
+     "run one solver and print the schedule",
+     "solver load exact seed budget"},
     {"compare", "[platform-file] [--solvers a,b] [--load M] [--json]",
-     "run the portfolio side by side"},
+     "run the portfolio side by side",
+     "solvers load threads json exact seed budget"},
     {"gantt", "[platform-file] [--solver NAME] [--svg FILE] [--width N]",
-     "render the schedule as a gantt chart"},
+     "render the schedule as a gantt chart",
+     "solver svg width exact seed budget"},
     {"simulate", "[platform-file] [--solver NAME] [--load M] [--noise SEED]",
-     "execute the schedule on the discrete-event simulator"},
+     "execute the schedule on the discrete-event simulator",
+     "solver load noise chrome-trace exact seed budget"},
     {"bench", "--spec NAME | --spec-file FILE | --list-specs",
-     "experiment driver (embedded dlsched_bench)"},
+     "experiment driver (embedded dlsched_bench)", nullptr},
     {"serve", "--socket PATH [--cache-dir DIR] [--queue-capacity N] [...]",
-     "run the scheduling daemon on a local socket"},
+     "run the scheduling daemon on a local socket",
+     "socket threads cache-dir queue-capacity batch-max batch-wait-ms "
+     "retry-after-ms"},
     {"request", "[platform-file] --socket PATH [--solver NAME] [--json]",
-     "send one solve to a running daemon and print the result"},
+     "send one solve to a running daemon and print the result",
+     "socket solver json exact seed budget"},
 };
+
+const Command* find_command(const std::string& name) {
+  for (const Command& command : kCommands) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
+/// Throws on the first option `command` does not read (naming the list
+/// it does), so a mistyped option fails instead of being ignored.
+void check_options(const Command& command, const CliArgs& args) {
+  if (command.options == nullptr) return;
+  const std::vector<std::string> accepted = split(command.options, ' ');
+  for (const std::string& name : args.option_names()) {
+    if (std::find(accepted.begin(), accepted.end(), name) != accepted.end()) {
+      continue;
+    }
+    std::string list;
+    for (const std::string& option : accepted) list += " --" + option;
+    DLSCHED_FAIL("unknown option --" + name + " for '" + command.name +
+                 "' (accepted:" + (list.empty() ? " none" : list) + ")");
+  }
+}
 
 int usage(std::ostream& out, int code) {
   out << "usage: dlsched_cli <command> [arguments] [options]\n"
@@ -78,7 +115,22 @@ int usage(std::ostream& out, int code) {
         .cell(command.summary);
   }
   table.print_aligned(out);
-  out << "\ncommon options:\n"
+  out << "\naccepted options (anything else is an error):\n";
+  for (const Command& command : kCommands) {
+    std::string label = std::string("  ") + command.name;
+    label.resize(12, ' ');
+    out << label;
+    if (command.options == nullptr) {
+      out << "see dlsched_bench --help\n";
+      continue;
+    }
+    if (*command.options == '\0') out << "(none)";
+    for (const std::string& option : split(command.options, ' ')) {
+      out << " --" << option;
+    }
+    out << "\n";
+  }
+  out << "\noption meanings:\n"
          "  --solver NAME   scheduling strategy (default fifo_optimal)\n"
          "  --solvers a,b   compare: comma-separated subset (default: all)\n"
          "  --load M        schedule M load units (default: throughput form)\n"
@@ -100,8 +152,9 @@ int usage(std::ostream& out, int code) {
          "  --svg FILE / --width N / --noise SEED / --chrome-trace FILE\n"
          "bench options: --spec/--spec-file/--list-specs plus\n"
          "  --out/--csv/--cache-dir/--no-cache/--quick\n"
-         "  fleet: --workers N|auto[:MAX] [--coordinator HOST:PORT]\n"
-         "         [--lease-ttl S] | --worker tcp://HOST:PORT\n"
+         "  fleet: --workers N|auto (auto = one local worker per core)\n"
+         "         [--coordinator HOST:PORT] [--lease-ttl S]\n"
+         "         | --worker tcp://HOST:PORT\n"
          "  (dlsched_bench --help lists every bench option)\n";
   return code;
 }
@@ -449,6 +502,9 @@ int main(int argc, char** argv) {
     if (args.positional().empty()) return usage(std::cerr, 2);
     const std::string& command = args.positional()[0];
     if (command == "help") return usage(std::cout, 0);
+    if (const Command* known = find_command(command)) {
+      check_options(*known, args);
+    }
     if (command == "bench") return experiments::bench_main(args);
     if (command == "serve") return cmd_serve(args);
     const StarPlatform platform = resolve_platform(args);

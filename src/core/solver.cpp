@@ -7,7 +7,6 @@
 #include <mutex>
 #include <sstream>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -27,6 +26,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace dlsched {
@@ -927,26 +927,7 @@ std::vector<BatchOutcome> solve_batch(std::span<const BatchJobView> jobs,
     }
   };
 
-  std::size_t thread_count =
-      threads != 0 ? threads : std::thread::hardware_concurrency();
-  thread_count = std::max<std::size_t>(
-      1, std::min(thread_count, jobs.size()));
-  if (thread_count == 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) run_job(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(thread_count);
-    for (std::size_t t = 0; t < thread_count; ++t) {
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < jobs.size();
-             i = next.fetch_add(1)) {
-          run_job(i);
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  parallel_for(jobs.size(), threads, run_job);
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (primary_of[i] == i) continue;

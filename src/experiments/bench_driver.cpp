@@ -7,6 +7,7 @@
 #include <chrono>
 #include <csignal>
 #include <iostream>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -33,8 +34,8 @@ extern "C" void on_bench_signal(int sig) { g_bench_signal.store(sig); }
 int run_worker_mode(const CliArgs& args, const std::string& endpoint) {
   service::TcpWorkerOptions options;
   options.endpoint = endpoint;
-  options.worker_id =
-      args.get_or("worker-id", "w" + std::to_string(::getpid()));
+  options.worker_id = args.get_or(
+      "worker-id", std::string("w").append(std::to_string(::getpid())));
   const std::int64_t threads = args.get_int("threads", 0);
   DLSCHED_EXPECT(threads >= 0, "--threads wants a non-negative count");
   options.threads = static_cast<std::size_t>(threads);
@@ -48,38 +49,28 @@ int run_worker_mode(const CliArgs& args, const std::string& endpoint) {
             << " shard(s) executed, " << summary.discarded << " discarded, "
             << summary.jobs << " job(s), " << summary.solved << " solved, "
             << summary.cache_hits << " cache hit(s)"
-            << (summary.retired ? ", retired" : "")
             << (summary.drained ? ", drained" : "")
             << (summary.abandoned ? ", abandoned a lease" : "") << "\n";
   return 0;
 }
 
-/// `--workers N|auto[:MAX]`: the local TCP worker fleet.  Absent, a
-/// coordinator waits for external workers and a plain run stays
-/// in-process.
+/// `--workers N|auto`: the size of the local TCP worker fleet (`auto` =
+/// one per core).  Absent, a coordinator waits for external workers and a
+/// plain run stays in-process.
 void parse_workers(const CliArgs& args, RunOptions& options) {
   const std::optional<std::string> text = args.get("workers");
   if (!text) return;
-  if (text->rfind("auto", 0) == 0) {
-    options.autoscale = true;
-    if (text->size() > 4) {
-      const std::string max_text =
-          (*text)[4] == ':' ? text->substr(5) : std::string();
-      std::size_t max = 0;
-      if (!max_text.empty() &&
-          max_text.find_first_not_of("0123456789") == std::string::npos) {
-        max = std::stoul(max_text);
-      }
-      DLSCHED_EXPECT(max >= 1 && max <= 256,
-                     "--workers auto:MAX wants 1 <= MAX <= 256 (got '" +
-                         *text + "')");
-      options.autoscale_max = max;
-    }
+  if (*text == "auto") {
+    options.workers = std::max(1u, std::thread::hardware_concurrency());
     return;
+  }
+  if (text->rfind("auto:", 0) == 0) {
+    DLSCHED_FAIL("--workers " + *text + ": the fleet size is fixed; use "
+                 "--workers " + text->substr(5));
   }
   const std::int64_t workers = args.get_int("workers", 1);
   DLSCHED_EXPECT(workers >= 1,
-                 "--workers wants a positive process count or auto[:MAX]");
+                 "--workers wants a positive process count or auto");
   options.workers = static_cast<std::size_t>(workers);
 }
 
@@ -263,8 +254,9 @@ const std::vector<BenchOption>& bench_options() {
       {"trace", "FILE",
        "merge every process's spans into one Chrome trace"},
       {nullptr, nullptr, "distributed runs:"},
-      {"workers", "N|auto[:MAX]",
-       "fork N TCP workers (+ a loopback coordinator)"},
+      {"workers", "N|auto",
+       "fork N local TCP workers (auto = one per core; without "
+       "--coordinator, a loopback board)"},
       {"coordinator", "HOST:PORT",
        "own the lease board over TCP on HOST:PORT"},
       {"lease-ttl", "S", "lease TTL before reassignment (0.05 to 3600)"},

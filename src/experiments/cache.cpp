@@ -123,8 +123,9 @@ void ResultCache::store(const std::string& hash_hex,
   const fs::path path = fs::path(directory_) / (hash_hex + ".entry");
   // Write-then-rename so a crashed run never leaves a torn entry.  The
   // temp name embeds the pid plus a counter: workers in different
-  // processes may store the same job concurrently (work stealing re-runs
-  // an in-flight shard) and must never interleave writes into one file.
+  // processes may store the same job concurrently (a shard whose lease
+  // expired is re-run while its first holder may still be storing) and
+  // must never interleave writes into one file.
   static std::atomic<std::uint64_t> counter{0};
   const fs::path tmp = path.string() + ".tmp." + std::to_string(::getpid()) +
                        "." + std::to_string(counter.fetch_add(1));

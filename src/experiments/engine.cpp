@@ -245,9 +245,9 @@ std::string draw_fleet_token() {
   return token.str();
 }
 
-/// Forks one retirable local TCP worker against `endpoint`.  The child
-/// runs the worker loop and `_exit`s without touching the parent's
-/// buffered streams; its log goes to a sink that dies with it.
+/// Forks one local TCP worker against `endpoint`.  The child runs the
+/// worker loop and `_exit`s without touching the parent's buffered
+/// streams; its log goes to a sink that dies with it.
 ///
 /// This is fork without exec from a process whose coordinator threads are
 /// already serving connections, so the child gets a copy of every mutex
@@ -269,7 +269,6 @@ pid_t spawn_cluster_worker(const std::string& endpoint,
     options.worker_id =
         "local-w" + std::to_string(ordinal) + "-" + std::to_string(::getpid());
     options.threads = threads;
-    options.retirable = true;
     options.fleet_token = fleet_token;
     // Inherited tracer state: drop the parent's spans, keep its epoch so
     // this worker's spans land on the coordinator's timeline, and ship
@@ -286,16 +285,14 @@ pid_t spawn_cluster_worker(const std::string& endpoint,
 }
 
 /// `--workers N` / `--coordinator HOST:PORT`: own the lease board over
-/// TCP.  Local workers (`--workers N` / `--workers auto[:MAX]`) are forked
-/// as retirable TCP workers; external ones join with
-/// `dlsched_bench --worker tcp://HOST:PORT`.  Without `--coordinator` the
-/// board listens on an ephemeral loopback port and admits only the forked
-/// fleet, which carries a token drawn before the fork; the run fails once
-/// that whole fleet has exited (an autoscaled one: once more workers have
-/// failed than there are shards) with shards still missing.  The
-/// coordinator's cache is the synchronization medium, so the
-/// joined artifacts stay byte-identical to a single-process run over the
-/// same cache.
+/// TCP.  The `--workers N` local workers are forked as TCP workers up
+/// front; external ones join with `dlsched_bench --worker tcp://HOST:PORT`.
+/// Without `--coordinator` the board listens on an ephemeral loopback port
+/// and admits only the forked fleet, which carries a token drawn before
+/// the fork; the run fails once that whole fleet has exited with shards
+/// still missing.  The coordinator's cache is the synchronization medium,
+/// so the joined artifacts stay byte-identical to a single-process run
+/// over the same cache.
 void run_grid_coordinator(const ExperimentSpec& spec,
                           const RunOptions& options, ResultCache& cache,
                           BenchJsonWriter* json, std::ostream* csv,
@@ -339,26 +336,29 @@ void run_grid_coordinator(const ExperimentSpec& spec,
   // Each local worker solves its shard on an equal slice of the cores,
   // rounded up so no core idles, unless --threads pins the count.
   const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t fleet_size = std::max<std::size_t>(
-      1, options.autoscale
-             ? (options.autoscale_max > 0 ? options.autoscale_max : cores)
-             : options.workers);
+  const std::size_t fleet_size = std::max<std::size_t>(1, options.workers);
   const std::size_t worker_threads =
       options.threads > 0 ? options.threads
                           : (cores + fleet_size - 1) / fleet_size;
 
   std::vector<pid_t> children;
-  std::size_t spawned = 0;
-  const auto spawn = [&] {
-    children.push_back(spawn_cluster_worker(endpoint, config.fleet_token,
-                                            spawned++, worker_threads));
+  for (std::size_t w = 0; w < options.workers; ++w) {
+    children.push_back(
+        spawn_cluster_worker(endpoint, config.fleet_token, w, worker_threads));
     coordinator.note_worker_spawned();
-  };
-  // Reaps exited children (`flags` = WNOHANG: only those already gone)
-  // and returns how many; abnormal exits are counted.
+  }
+  if (options.workers > 0) {
+    log << "spawned " << options.workers << " local worker(s)\n";
+  } else {
+    log << "waiting for external workers (dlsched_bench --worker "
+        << "tcp://" << listen.host << ":" << coordinator.port() << ")\n";
+  }
+  log.flush();
+
+  // Reaps exited children (`flags` = WNOHANG: only those already gone);
+  // abnormal exits are counted.
   std::size_t worker_failures = 0;
   const auto reap = [&](int flags) {
-    std::size_t reaped = 0;
     for (auto it = children.begin(); it != children.end();) {
       int status = 0;
       const pid_t done = ::waitpid(*it, &status, flags);
@@ -370,72 +370,21 @@ void run_grid_coordinator(const ExperimentSpec& spec,
         ++worker_failures;
       }
       it = children.erase(it);
-      ++reaped;
     }
-    return reaped;
   };
 
-  if (options.autoscale) {
-    // Queue-depth-driven autoscaling: each 50ms tick reaps exited
-    // children, then sizes the local fleet to the remaining work
-    // (backlog + outstanding leases, clamped to [1, max]).  Growth is one
-    // spawn per tick so a short burst does not overshoot; surplus workers
-    // are retired through Retire grants on their next Acquire.
-    const std::size_t cap = fleet_size;
-    log << "autoscaling local workers up to " << cap << "\n";
-    std::size_t pending_retires = 0;
-    while (!coordinator.finished() && !stop_requested()) {
-      pending_retires -= std::min(pending_retires, reap(WNOHANG));
-      // Every shard may cost one crashed worker; beyond that the fleet
-      // is failing deterministically and respawning cannot finish it.
-      if (local_fleet_only && worker_failures > shard_count) break;
-      const service::CoordinatorGauges gauges = coordinator.gauges();
-      const std::size_t work =
-          gauges.shard_backlog + gauges.leases_outstanding;
-      const std::size_t target = std::clamp<std::size_t>(work, 1, cap);
-      const std::size_t live = children.size();
-      if (live < target && gauges.shards_done < shard_count) {
-        spawn();
-        log << "autoscale t=" << format_double(since(phase_exec), 3)
-            << "s: +1 worker (live " << children.size() << "/" << target
-            << ", backlog " << gauges.shard_backlog << ", leased "
-            << gauges.leases_outstanding << ")\n";
-        log.flush();
-      } else if (live > target + pending_retires) {
-        const std::size_t surplus = live - target - pending_retires;
-        coordinator.request_retire(surplus);
-        pending_retires += surplus;
-        log << "autoscale t=" << format_double(since(phase_exec), 3)
-            << "s: retiring " << surplus << " worker(s) (live " << live
-            << "/" << target << ", backlog " << gauges.shard_backlog
-            << ")\n";
-        log.flush();
-      }
-      (void)coordinator.wait_finished(0.05);
-    }
-  } else {
-    for (std::size_t w = 0; w < options.workers; ++w) spawn();
-    if (options.workers > 0) {
-      log << "spawned " << options.workers
-          << " local worker(s)\n";
-    } else {
-      log << "waiting for external workers (dlsched_bench --worker "
-          << "tcp://" << listen.host << ":" << coordinator.port() << ")\n";
-    }
-    log.flush();
-    // A fleet-only board has nobody else to wait for once every local
-    // worker is gone; a public one still admits external workers.
-    while (!coordinator.finished() && !stop_requested()) {
-      (void)reap(WNOHANG);
-      if (local_fleet_only && children.empty()) break;
-      (void)coordinator.wait_finished(0.1);
-    }
+  // A fleet-only board has nobody else to wait for once every local
+  // worker is gone; a public one still admits external workers.
+  while (!coordinator.finished() && !stop_requested()) {
+    reap(WNOHANG);
+    if (local_fleet_only && children.empty()) break;
+    (void)coordinator.wait_finished(0.1);
   }
 
   // Granting stops either way; leased shards still stream their
   // fragments in, so drained workers exit without wasting claimed work.
   coordinator.begin_drain();
-  (void)reap(0);
+  reap(0);
   if (worker_failures > 0) {
     log << worker_failures << " cluster worker(s) exited abnormally\n";
   }
@@ -485,7 +434,6 @@ void run_grid_coordinator(const ExperimentSpec& spec,
       << " s, execute " << format_double(exec_seconds, 3) << " s, join "
       << format_double(since(phase_join), 3) << " s\n"
       << "cluster board: " << gauges.workers_spawned << " spawned, "
-      << gauges.workers_retired << " retired, "
       << gauges.lease_reassignments << " lease reassignment(s), "
       << gauges.fragments_discarded << " fragment(s) discarded, "
       << gauges.fragment_bytes << " fragment byte(s)\n";
@@ -680,8 +628,7 @@ RunSummary run_spec(const ExperimentSpec& requested,
   const auto start = options.run_epoch.value_or(steady_clock::now());
 
   const bool slice = options.shard_count > 0;
-  const bool fleet = !options.coordinator.empty() || options.workers > 1 ||
-                     options.autoscale;
+  const bool fleet = !options.coordinator.empty() || options.workers > 1;
   if (slice || options.join_only || fleet) {
     DLSCHED_EXPECT(spec.kind == SpecKind::Grid,
                    "spec '" + spec.name + "' is kind '" +

@@ -43,8 +43,6 @@ struct RunOptions {
   /// runs the board on an ephemeral loopback port and N <= 1 stays
   /// in-process; with one, 0 waits for external `--worker` processes.
   std::size_t workers = 0;
-  bool autoscale = false;        ///< size the local fleet to the backlog
-  std::size_t autoscale_max = 0; ///< autoscale cap (0 = hardware)
   double lease_ttl_seconds = 30.0;  ///< shard lease TTL before reassignment
   /// When set, a nonzero value drains the coordinator mid-run (the signal
   /// handler hook for SIGTERM/SIGINT graceful shutdown).

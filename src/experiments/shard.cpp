@@ -68,7 +68,8 @@ std::vector<CompiledShard> plan_shards(const ExperimentSpec& spec) {
   // One shard per (p, z) slice, further split per repetition: the
   // repetition split keeps shard weights comparable when one platform
   // size dwarfs the others (micro_solvers' p = 12 slice is ~97% of the
-  // spec), which is what lets work stealing actually balance the grid.
+  // spec), so workers leasing the next pending shard in planner order
+  // actually balance the grid.
   // The latency axes fold *inside* each shard as cells -- one generated
   // platform spans the whole latency surface (isolating the latency
   // effect).  Planner order is the nested loop order (p, then z, then

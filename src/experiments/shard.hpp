@@ -4,8 +4,9 @@
 // points; this module slices the compiled grid into one shard per
 // (p, z, repetition) point so rows stream out as slices complete instead
 // of after one monolithic batch, and so independent worker processes can
-// lease slices from the coordinator (service/coordinator.hpp) with
-// weights fine enough to balance.  Shard ids are stable
+// lease slices from the coordinator (service/coordinator.hpp), which
+// grants the first pending shard in planner order, with weights fine
+// enough to balance.  Shard ids are stable
 // content-derived hashes built from the `job_hash_hex` identities of the
 // jobs inside a shard: every process that plans the same spec computes the
 // same ids with no coordination, and any change to the spec's axes, seed,
@@ -58,7 +59,7 @@ struct GridCell {
 };
 
 /// One slice of the compiled grid -- a (p, z) point, split per repetition
-/// so shard weights stay stealable when one platform size dominates the
+/// so shard weights stay comparable when one platform size dominates the
 /// spec: the generated problem instance plus its latency cells.  The
 /// latency axes fold *inside* the shard (one platform spans the whole
 /// latency surface) so adjacent cells differ only in the latency

@@ -22,7 +22,9 @@ StarPlatform::StarPlatform(std::vector<Worker> workers)
     DLSCHED_EXPECT(p.c > 0.0, "worker input communication time must be > 0");
     DLSCHED_EXPECT(p.w > 0.0, "worker computation time must be > 0");
     DLSCHED_EXPECT(p.d >= 0.0, "worker return communication time must be >= 0");
-    if (p.name.empty()) p.name = "P" + std::to_string(i + 1);
+    if (p.name.empty()) {
+      p.name = std::string("P").append(std::to_string(i + 1));
+    }
   }
 }
 

@@ -1,19 +1,18 @@
 #include "service/coordinator.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <utility>
 
-#include "service/net.hpp"
 #include "util/error.hpp"
 
 namespace dlsched::service {
 
-using net::send_all;
+namespace {
+
+/// Advertised retry delay for Wait grants (everything leased out).
+constexpr double kWaitRetryMs = 50.0;
+
+}  // namespace
 
 Coordinator::Coordinator(const experiments::ExperimentSpec& spec,
                          std::vector<experiments::CompiledShard> shards,
@@ -47,8 +46,18 @@ Coordinator::Coordinator(const experiments::ExperimentSpec& spec,
     const std::lock_guard<std::mutex> lock(board_mutex_);
     publish_gauges_locked();
   }
-  listen_fd_ = net::listen_tcp(config_.host, config_.port, port_);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  frames_.emplace(
+      net::listen_tcp(config_.host, config_.port, port_), stats_,
+      std::vector<net::FrameServer::Route>{
+          {FrameType::LeaseRequest,
+           [this](const std::string& payload) {
+             return handle_lease_payload(payload);
+           }},
+          {FrameType::FragmentPush,
+           [this](const std::string& payload) {
+             return handle_fragment_payload(payload);
+           }}},
+      "worker");
 }
 
 Coordinator::~Coordinator() { stop(); }
@@ -69,24 +78,7 @@ void Coordinator::stop() {
   if (stopped_) return;
   stopped_ = true;
   begin_drain();
-
-  accept_stop_.store(true, std::memory_order_relaxed);
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  std::vector<std::thread> connections;
-  {
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
-    connections.swap(connection_threads_);
-  }
-  for (std::thread& t : connections) {
-    if (t.joinable()) t.join();
-  }
-
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  if (frames_) frames_->stop();
 }
 
 bool Coordinator::finished() const {
@@ -120,11 +112,6 @@ std::vector<obs::ProcessTrace> Coordinator::take_worker_traces() {
   std::vector<obs::ProcessTrace> traces;
   traces.swap(worker_traces_);
   return traces;
-}
-
-void Coordinator::request_retire(std::size_t count) {
-  const std::lock_guard<std::mutex> lock(board_mutex_);
-  retire_credits_ += count;
 }
 
 void Coordinator::note_worker_spawned() {
@@ -213,24 +200,16 @@ std::string Coordinator::handle_lease_payload(const std::string& payload) {
     return encode_frame(FrameType::Ack, encode_ack(ack));
   }
 
-  // Acquire: sweep, maybe retire, then grant the first pending shard in
-  // planner order.  The grant's cached records are gathered outside the
-  // board lock -- the lease deadline is already running, and cache reads
-  // have their own lock.
+  // Acquire: sweep, then grant the first pending shard in planner order.
+  // The grant's cached records are gathered outside the board lock -- the
+  // lease deadline is already running, and cache reads have their own
+  // lock.
   std::size_t grant_index = 0;
   bool granted = false;
   {
     const std::lock_guard<std::mutex> lock(board_mutex_);
     if (draining_) return drain_frame();
     sweep_expired_locked();
-    if (request.retirable && retire_credits_ > 0) {
-      --retire_credits_;
-      ++gauges_.workers_retired;
-      publish_gauges_locked();
-      LeaseGrantBody grant;
-      grant.kind = LeaseGrantBody::Kind::Retire;
-      return encode_frame(FrameType::LeaseGrant, encode_lease_grant(grant));
-    }
     if (done_count_ == shards_.size()) {
       LeaseGrantBody grant;
       grant.kind = LeaseGrantBody::Kind::Done;
@@ -253,7 +232,7 @@ std::string Coordinator::handle_lease_payload(const std::string& payload) {
     if (!granted) {
       LeaseGrantBody grant;
       grant.kind = LeaseGrantBody::Kind::Wait;
-      grant.retry_after_ms = config_.wait_retry_ms;
+      grant.retry_after_ms = kWaitRetryMs;
       return encode_frame(FrameType::LeaseGrant, encode_lease_grant(grant));
     }
   }
@@ -404,73 +383,6 @@ std::string Coordinator::handle_fragment_payload(
   ack.ok = true;
   ack.message = "accepted";
   return encode_frame(FrameType::Ack, encode_ack(ack));
-}
-
-// ------------------------------------------------------------ accept side --
-
-void Coordinator::accept_loop() {
-  while (!accept_stop_.load(std::memory_order_relaxed)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/50);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check the stop flag
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { handle_connection(fd); });
-  }
-}
-
-void Coordinator::handle_connection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    // A peer that dies mid-frame leaves a partial FragmentPush in the
-    // buffer; the length prefix never completes, so the bytes are simply
-    // dropped here -- a torn push can never corrupt the board.
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    for (;;) {
-      const FrameDecode decode = try_decode_frame(buffer);
-      if (decode.status == DecodeStatus::NeedMore) break;
-      if (decode.status != DecodeStatus::Ok) {
-        stats_.on_protocol_error();
-        (void)send_all(fd,
-                       encode_frame(FrameType::ProtocolError, decode.error));
-        open = false;
-        break;
-      }
-      buffer.erase(0, decode.consumed);
-      std::string reply;
-      switch (decode.frame.type) {
-        case FrameType::LeaseRequest:
-          reply = handle_lease_payload(decode.frame.payload);
-          break;
-        case FrameType::FragmentPush:
-          reply = handle_fragment_payload(decode.frame.payload);
-          break;
-        case FrameType::StatsQuery:
-          reply = encode_frame(FrameType::StatsReport, stats_.render_json());
-          break;
-        default:
-          stats_.on_protocol_error();
-          reply = encode_frame(
-              FrameType::ProtocolError,
-              "unexpected worker frame type " +
-                  std::to_string(static_cast<int>(decode.frame.type)));
-          open = false;
-          break;
-      }
-      if (!send_all(fd, reply)) {
-        open = false;
-        break;
-      }
-    }
-  }
-  ::close(fd);
 }
 
 }  // namespace dlsched::service

@@ -1,11 +1,13 @@
-// The cluster coordinator: the work-stealing shard board, owned in
-// memory and served over TCP.  Every process fleet runs through it --
+// The cluster coordinator: the shard lease board, owned in memory and
+// served over TCP behind the shared connection server (service/net.hpp
+// `FrameServer`).  Every process fleet runs through it --
 // `--workers N` forks N local TCP workers against a coordinator on an
 // ephemeral loopback port, `--coordinator HOST:PORT` also admits external
 // `--worker` processes -- so a grid sweep can span machines with nothing
 // shared but the network:
 //
-//   * a shard lease with a deadline (LeaseGrant), one holder at a time;
+//   * a shard lease with a deadline (LeaseGrant), one holder at a time,
+//     granted for the first pending shard in planner order;
 //   * lease renewal (LeaseRequest kind=Renew) while the holder computes;
 //   * lease-expiry reassignment: the sweep in every Acquire re-pends
 //     expired leases, so a crashed worker costs one TTL;
@@ -25,20 +27,19 @@
 // the claim-board gauges (`CoordinatorGauges`).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "experiments/cache.hpp"
 #include "experiments/shard.hpp"
 #include "experiments/spec.hpp"
 #include "obs/trace.hpp"
+#include "service/net.hpp"
 #include "service/stats.hpp"
 #include "service/wire.hpp"
 
@@ -48,8 +49,6 @@ struct CoordinatorConfig {
   std::string host = "127.0.0.1";  ///< IPv4 listen address
   std::uint16_t port = 0;          ///< 0 = ephemeral (see `port()`)
   double lease_ttl_seconds = 30.0; ///< unrenewed leases re-pend after this
-  /// Advertised retry delay for Wait grants (everything leased out).
-  double wait_retry_ms = 50.0;
   /// Non-empty: refuse every Acquire, Renew and FragmentPush that does
   /// not carry this secret (a forked local fleet's board).  Empty: any
   /// worker that reaches the port may join.
@@ -58,7 +57,7 @@ struct CoordinatorConfig {
 
 class Coordinator {
  public:
-  /// Binds, listens and spawns the accept thread.  `shards` is the full
+  /// Binds, listens and starts serving.  `shards` is the full
   /// plan in planner order; `cache` is the run's result cache (guarded
   /// here, shared with nobody else while the coordinator lives).  Throws
   /// `dlsched::Error` when the socket cannot be set up.
@@ -96,9 +95,7 @@ class Coordinator {
   /// merged per worker id (empty when tracing was off).  Moves them out.
   [[nodiscard]] std::vector<obs::ProcessTrace> take_worker_traces();
 
-  /// Autoscaler hooks: grant `count` further Retire answers to retirable
-  /// workers' next Acquires, and account a spawned local worker.
-  void request_retire(std::size_t count);
+  /// Accounts a spawned local worker in the board gauges.
   void note_worker_spawned();
 
   [[nodiscard]] StatsSnapshot stats() const { return stats_.snapshot(); }
@@ -121,8 +118,6 @@ class Coordinator {
     std::size_t reassignments = 0;
   };
 
-  void accept_loop();
-  void handle_connection(int fd);
   [[nodiscard]] std::string handle_lease_payload(const std::string& payload);
   [[nodiscard]] std::string handle_fragment_payload(
       const std::string& payload);
@@ -146,7 +141,6 @@ class Coordinator {
   std::vector<Slot> slots_;                                  // board lock
   std::vector<std::optional<experiments::ShardResult>> results_;  // board lock
   std::size_t done_count_ = 0;                               // board lock
-  std::size_t retire_credits_ = 0;                           // board lock
   bool draining_ = false;                                    // board lock
   CoordinatorGauges gauges_;                                 // board lock
   std::condition_variable done_cv_;
@@ -159,12 +153,7 @@ class Coordinator {
 
   ServiceStats stats_;
 
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::vector<std::thread> connection_threads_;  // guarded by conn_mutex_
-  std::vector<int> connection_fds_;              // guarded by conn_mutex_
-  std::mutex conn_mutex_;
-  std::atomic<bool> accept_stop_{false};
+  std::optional<net::FrameServer> frames_;  // started last, stopped first
   bool stopped_ = false;  // stop() ran (main-thread use only)
 };
 

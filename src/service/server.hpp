@@ -1,7 +1,8 @@
 // `dlsched_serve`: the scheduling daemon.
 //
-// A `Server` owns one AF_UNIX listening socket and answers wire-protocol
-// frames (service/wire.hpp).  The request lifecycle:
+// A `Server` answers SolveRequest frames (service/wire.hpp) on one
+// AF_UNIX socket, behind the shared connection server (service/net.hpp
+// `FrameServer`, which also answers StatsQuery).  The request lifecycle:
 //
 //   accept -> decode frame -> admission -> micro-batch -> respond
 //
@@ -31,11 +32,13 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "experiments/cache.hpp"
+#include "service/net.hpp"
 #include "service/stats.hpp"
 #include "service/wire.hpp"
 
@@ -85,10 +88,8 @@ class Server {
     bool fulfilled = false;
   };
 
-  void accept_loop();
   void batcher_loop();
-  void handle_connection(int fd);
-  /// Decodes and dispatches one frame payload; returns the encoded
+  /// Decodes and admits one SolveRequest payload; returns the encoded
   /// response frame to write back.
   [[nodiscard]] std::string handle_solve_payload(const std::string& payload);
   void run_batch(std::vector<std::unique_ptr<Pending>> batch);
@@ -96,22 +97,17 @@ class Server {
   ServerConfig config_;
   ServiceStats stats_;
 
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
   std::thread batcher_thread_;
-  std::vector<std::thread> connection_threads_;  // guarded by conn_mutex_
-  std::vector<int> connection_fds_;              // guarded by conn_mutex_
-  std::mutex conn_mutex_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<std::unique_ptr<Pending>> queue_;  // guarded by queue_mutex_
   bool draining_ = false;                       // guarded by queue_mutex_
-  std::atomic<bool> accept_stop_{false};
 
   std::mutex cache_mutex_;
   experiments::ResultCache cache_;  // guarded by cache_mutex_
 
+  std::optional<net::FrameServer> frames_;  // started last, stopped first
   bool stopped_ = false;  // stop() ran (main-thread use only)
 };
 

@@ -78,8 +78,6 @@ void ServiceStats::set_board(const CoordinatorGauges& board) {
                       static_cast<std::int64_t>(board.lease_reassignments));
   registry_.set_gauge("board.workers_spawned",
                       static_cast<std::int64_t>(board.workers_spawned));
-  registry_.set_gauge("board.workers_retired",
-                      static_cast<std::int64_t>(board.workers_retired));
 }
 
 StatsSnapshot ServiceStats::snapshot() const {
@@ -132,9 +130,7 @@ std::string ServiceStats::render_json() const {
         .add("lease_reassignments",
              static_cast<std::size_t>(s.board.lease_reassignments))
         .add("workers_spawned",
-             static_cast<std::size_t>(s.board.workers_spawned))
-        .add("workers_retired",
-             static_cast<std::size_t>(s.board.workers_retired));
+             static_cast<std::size_t>(s.board.workers_spawned));
   }
   return report.render();
 }

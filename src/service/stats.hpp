@@ -37,8 +37,7 @@ struct CoordinatorGauges {
   std::uint64_t fragment_bytes = 0;       ///< accepted fragment payloads
   std::uint64_t fragments_discarded = 0;  ///< duplicate / corrupt pushes
   std::uint64_t lease_reassignments = 0;  ///< TTL expiries re-granted
-  std::uint64_t workers_spawned = 0;      ///< autoscaler spawns
-  std::uint64_t workers_retired = 0;      ///< autoscaler retires
+  std::uint64_t workers_spawned = 0;      ///< local workers forked
 };
 
 /// Counter snapshot; every field cumulative unless noted.

@@ -443,7 +443,9 @@ RejectInfo decode_reject_body(std::string_view body) {
 
 namespace {
 constexpr const char* kLeaseRequestMagic = "dlsched-wire-lease-req";
-constexpr int kLeaseRequestVersion = 1;
+// v2: kind, worker, shard, id, then the optional token (v1 had a flag
+// line between worker and shard).
+constexpr int kLeaseRequestVersion = 2;
 constexpr const char* kLeaseGrantMagic = "dlsched-wire-lease-grant";
 constexpr int kLeaseGrantVersion = 1;
 constexpr const char* kFragmentMagic = "dlsched-wire-fragment";
@@ -495,7 +497,6 @@ std::string encode_lease_request(const LeaseRequestBody& body) {
   out << "kind " << (body.kind == LeaseRequestBody::Kind::Acquire ? 'a' : 'r')
       << '\n';
   put_blob(out, "worker", body.worker_id);
-  out << "retirable " << body.retirable << '\n';
   out << "shard " << body.shard_index << '\n';
   put_blob(out, "id", body.shard_id);
   if (!body.fleet_token.empty()) put_blob(out, "token", body.fleet_token);
@@ -516,8 +517,6 @@ LeaseRequestBody decode_lease_request(std::string_view body) {
                              : LeaseRequestBody::Kind::Renew;
   in.ignore(1);
   request.worker_id = get_blob(in, "worker");
-  expect_label(in, "retirable", "retirable flag");
-  in >> request.retirable;
   expect_label(in, "shard", "shard index");
   in >> request.shard_index;
   DLSCHED_EXPECT(!in.fail(), "wire body: truncated lease request");
@@ -535,7 +534,6 @@ std::string encode_lease_grant(const LeaseGrantBody& body) {
   switch (body.kind) {
     case LeaseGrantBody::Kind::Work: kind = 'w'; break;
     case LeaseGrantBody::Kind::Wait: kind = 'p'; break;  // "pause"
-    case LeaseGrantBody::Kind::Retire: kind = 'r'; break;
     case LeaseGrantBody::Kind::Done: kind = 'd'; break;
   }
   out << "kind " << kind << '\n';
@@ -565,7 +563,6 @@ LeaseGrantBody decode_lease_grant(std::string_view body) {
   switch (kind) {
     case 'w': grant.kind = LeaseGrantBody::Kind::Work; break;
     case 'p': grant.kind = LeaseGrantBody::Kind::Wait; break;
-    case 'r': grant.kind = LeaseGrantBody::Kind::Retire; break;
     case 'd': grant.kind = LeaseGrantBody::Kind::Done; break;
     default:
       DLSCHED_FAIL("wire body: unknown lease-grant kind '" +

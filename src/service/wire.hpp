@@ -178,9 +178,6 @@ struct LeaseRequestBody {
   enum class Kind : std::uint8_t { Acquire, Renew };
   Kind kind = Kind::Acquire;
   std::string worker_id;
-  /// Coordinator-spawned local workers are retirable: the autoscaler may
-  /// answer their next Acquire with a Retire grant as backlog drains.
-  bool retirable = false;
   std::size_t shard_index = 0;  ///< Renew: the held shard
   std::string shard_id;         ///< Renew: cross-check against the plan
   /// Optional wire section: the secret of a coordinator that admits only
@@ -196,7 +193,6 @@ struct LeaseGrantBody {
   enum class Kind : std::uint8_t {
     Work,    ///< a shard lease: spec, shard identity, TTL, cached records
     Wait,    ///< everything leased out; retry after `retry_after_ms`
-    Retire,  ///< autoscaler: surplus retirable worker, exit now
     Done,    ///< every shard is finished, exit now
   };
   Kind kind = Kind::Wait;
@@ -269,7 +265,7 @@ enum class FrameType : std::uint8_t {
   StatsReport = 5,    ///< the stats mailbox, rendered as one JSON object
   ProtocolError = 6,  ///< human-readable reason; the connection closes
   LeaseRequest = 7,   ///< lease-request body -> LeaseGrant | Ack (renew)
-  LeaseGrant = 8,     ///< lease-grant body: work / wait / retire / done
+  LeaseGrant = 8,     ///< lease-grant body: work / wait / done
   FragmentPush = 9,   ///< fragment-push body -> Ack
   Ack = 10,           ///< ack body: fragment / renewal accepted or refused
   Drain = 11,         ///< coordinator draining; payload = reason, then EOF

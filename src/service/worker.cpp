@@ -162,7 +162,6 @@ TcpWorkerSummary run_tcp_worker(const TcpWorkerOptions& options,
   LeaseRequestBody acquire;
   acquire.kind = LeaseRequestBody::Kind::Acquire;
   acquire.worker_id = options.worker_id;
-  acquire.retirable = options.retirable;
   acquire.fleet_token = options.fleet_token;
   const std::string acquire_frame =
       encode_frame(FrameType::LeaseRequest, encode_lease_request(acquire));
@@ -205,11 +204,6 @@ TcpWorkerSummary run_tcp_worker(const TcpWorkerOptions& options,
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(grant.retry_after_ms));
       continue;
-    }
-    if (grant.kind == LeaseGrantBody::Kind::Retire) {
-      log << "dlsched worker " << options.worker_id << ": retired\n";
-      summary.retired = true;
-      break;
     }
     if (grant.kind == LeaseGrantBody::Kind::Done) {
       log << "dlsched worker " << options.worker_id << ": all shards done\n";

@@ -26,9 +26,6 @@ struct TcpWorkerOptions {
   std::string endpoint;      ///< "tcp://host:port" (or "host:port")
   std::string worker_id;     ///< unique per worker; names leases
   std::size_t threads = 1;   ///< per-shard solve_batch thread count
-  /// Coordinator-spawned local workers set this; the autoscaler may then
-  /// answer an Acquire with a Retire grant as backlog drains.
-  bool retirable = false;
   /// The coordinator's `CoordinatorConfig::fleet_token`, sent with every
   /// lease request and push (empty for an open coordinator).
   std::string fleet_token;
@@ -49,13 +46,11 @@ struct TcpWorkerSummary {
   std::size_t jobs = 0;       ///< jobs across executed shards
   std::size_t solved = 0;
   std::size_t cache_hits = 0;
-  bool retired = false;       ///< exited on a Retire grant
   bool drained = false;       ///< exited on Drain or coordinator close
   bool abandoned = false;     ///< chaos hook fired: died holding a lease
 };
 
-/// Runs the lease loop until the coordinator answers Done, Retire or
-/// Drain (or closes the connection).  Progress lines go to `log`.
+/// Runs the lease loop until the coordinator answers Done or Drain (or closes the connection).  Progress lines go to `log`.
 /// Throws `dlsched::Error` for setup failures (bad endpoint, unreachable
 /// coordinator, plan-fingerprint mismatch).
 TcpWorkerSummary run_tcp_worker(const TcpWorkerOptions& options,

@@ -45,3 +45,8 @@ expect_exit(1 "" ${BENCH} --bogus x)
 expect_exit(1 "" ${BENCH} --spec smoke --stale-seconds 5)
 expect_exit(1 "" ${CLI} bench --bogus x)
 expect_exit(1 "" ${CLI} bench --spec smoke --stale-seconds 5)
+# Every dlsched_cli subcommand checks its options against one list.
+expect_exit(1 "" ${CLI} solve --bogus x)
+expect_exit(1 "" ${CLI} compare --bogus x)
+# The local fleet has one shape: auto:MAX is refused, naming --workers MAX.
+expect_exit(1 "" ${BENCH} --spec smoke --workers auto:2)

@@ -408,7 +408,6 @@ TEST(ClusterDrain, DrainingCoordinatorSendsWorkersAway) {
   const service::TcpWorkerSummary summary =
       service::run_tcp_worker(options, log);
   EXPECT_TRUE(summary.drained);
-  EXPECT_FALSE(summary.retired);
   EXPECT_EQ(summary.executed, 0u);
   coordinator.stop();
 }

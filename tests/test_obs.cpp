@@ -269,7 +269,9 @@ TEST_F(TracerTest, ThreadMergeIsDeterministicAndComplete) {
       for (std::size_t i = 0; i < kSpansPerThread; ++i) {
         const std::uint64_t start = t * 100 + i * 10;
         obs::Tracer::instance().record(
-            "work", "t" + std::to_string(t) + ":" + std::to_string(i),
+            "work",
+            std::string("t").append(std::to_string(t)).append(":").append(
+                std::to_string(i)),
             start, start + 5);
       }
     });

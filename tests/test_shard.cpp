@@ -273,7 +273,7 @@ TEST(ShardScheduler, ForkedWorkersJoinByteIdenticalToSingleProcess) {
   EXPECT_EQ(sp.failures, 0u);
   EXPECT_EQ(sp.shards, 8u);
 
-  // ...then 3 forked work-stealing workers against the same cache: the
+  // ...then 3 forked TCP workers against the same cache: the
   // joined artifact replays the cached numbers byte for byte.
   RunOptions multi = single;
   multi.out_json = scratch.file("mp.json");
@@ -337,41 +337,28 @@ TEST(ShardScheduler, AFleetThatDiesFailsTheRunInsteadOfHanging) {
     std::optional<std::string> saved;
   };
 
-  // A fixed fleet of 2, then an autoscaled one that keeps respawning
-  // until more workers have failed than there are shards (8).
-  for (const bool autoscale : {false, true}) {
-    std::ostringstream log;
-    RunOptions options;
-    options.out_json = scratch.file("mp.json");
-    options.cache_dir = scratch.dir() + "/cache";
-    options.threads = 1;
-    options.workers = autoscale ? 0 : 2;
-    options.autoscale = autoscale;
-    options.autoscale_max = 2;
-    options.log = &log;
-    try {
-      const TmpdirOverride tmpdir(not_a_dir);
-      (void)run_spec(small_grid_spec(), options);
-      ADD_FAILURE() << "expected dlsched::Error (autoscale " << autoscale
-                    << ")";
-    } catch (const Error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("every local worker exited"), std::string::npos)
-          << what;
-      EXPECT_NE(what.find("8 shard(s) missing"), std::string::npos) << what;
-    }
-    const std::string text = log.str();
-    const std::size_t at = text.find(" cluster worker(s) exited abnormally");
-    ASSERT_NE(at, std::string::npos) << text;
-    const std::size_t failed =
-        std::stoul(text.substr(text.rfind('\n', at) + 1));
-    if (autoscale) {
-      EXPECT_GE(failed, 9u) << text;
-    } else {
-      EXPECT_EQ(failed, 2u) << text;
-    }
-    EXPECT_FALSE(fs::exists(options.out_json));
+  std::ostringstream log;
+  RunOptions options;
+  options.out_json = scratch.file("mp.json");
+  options.cache_dir = scratch.dir() + "/cache";
+  options.threads = 1;
+  options.workers = 2;
+  options.log = &log;
+  try {
+    const TmpdirOverride tmpdir(not_a_dir);
+    (void)run_spec(small_grid_spec(), options);
+    ADD_FAILURE() << "expected dlsched::Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("every local worker exited"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("8 shard(s) missing"), std::string::npos) << what;
   }
+  const std::string text = log.str();
+  EXPECT_NE(text.find("\n2 cluster worker(s) exited abnormally"),
+            std::string::npos)
+      << text;
+  EXPECT_FALSE(fs::exists(options.out_json));
 }
 
 TEST(ShardScheduler, StaticSlicesPlusJoinMatchSingleProcess) {

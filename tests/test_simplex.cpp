@@ -246,7 +246,8 @@ TEST_P(SimplexRandomized, ExactAndDoubleAgreeOnRandomPackingLps) {
     const std::size_t m = 1 + static_cast<std::size_t>(rng.uniform_int(0, 6));
     LpProblem p;
     for (std::size_t j = 0; j < n; ++j) {
-      p.set_objective(p.add_variable("v" + std::to_string(j)), rat(1));
+      const std::string name = std::string("v").append(std::to_string(j));
+      p.set_objective(p.add_variable(name), rat(1));
     }
     for (std::size_t i = 0; i < m; ++i) {
       std::vector<Term> terms;

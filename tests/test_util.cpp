@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/string_util.hpp"
@@ -224,6 +228,34 @@ TEST(StringUtil, FormatSecondsPicksUnits) {
   EXPECT_EQ(format_seconds(0.002), "2 ms");
   EXPECT_EQ(format_seconds(2e-6), "2 us");
   EXPECT_EQ(format_seconds(3e-9), "3 ns");
+}
+
+// ------------------------------------------------------------- parallel --
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnceForAnyThreadCount) {
+  for (const std::size_t threads : {0u, 1u, 3u, 64u}) {
+    std::vector<std::atomic<int>> hits(100);
+    parallel_for(hits.size(), threads,
+                 [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i << ", threads " << threads;
+    }
+  }
+  parallel_for(0, 4, [](std::size_t) { ADD_FAILURE() << "empty range ran"; });
+}
+
+TEST(ParallelFor, OneThreadRunsInlineInIndexOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for(5, 1, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  // A one-element range never needs a second thread either.
+  parallel_for(1, 8, [&](std::size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
 }
 
 }  // namespace

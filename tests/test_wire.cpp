@@ -134,11 +134,9 @@ TEST(WireBodies, LeaseRequestRoundTripsBothKinds) {
   LeaseRequestBody acquire;
   acquire.kind = LeaseRequestBody::Kind::Acquire;
   acquire.worker_id = "w-42";
-  acquire.retirable = true;
   const LeaseRequestBody a = decode_lease_request(encode_lease_request(acquire));
   EXPECT_EQ(a.kind, LeaseRequestBody::Kind::Acquire);
   EXPECT_EQ(a.worker_id, "w-42");
-  EXPECT_TRUE(a.retirable);
 
   LeaseRequestBody renew;
   renew.kind = LeaseRequestBody::Kind::Renew;
@@ -149,7 +147,6 @@ TEST(WireBodies, LeaseRequestRoundTripsBothKinds) {
   EXPECT_EQ(r.kind, LeaseRequestBody::Kind::Renew);
   EXPECT_EQ(r.shard_index, 7u);
   EXPECT_EQ(r.shard_id, renew.shard_id);
-  EXPECT_FALSE(r.retirable);
   EXPECT_TRUE(r.fleet_token.empty());
 
   // The optional fleet token rides before "end"; absent, the body has
@@ -186,8 +183,7 @@ TEST(WireBodies, LeaseGrantRoundTripsWorkWithRecords) {
   EXPECT_EQ(back.records[1].body, grant.records[1].body);
 
   for (const LeaseGrantBody::Kind kind :
-       {LeaseGrantBody::Kind::Wait, LeaseGrantBody::Kind::Retire,
-        LeaseGrantBody::Kind::Done}) {
+       {LeaseGrantBody::Kind::Wait, LeaseGrantBody::Kind::Done}) {
     LeaseGrantBody signal;
     signal.kind = kind;
     signal.retry_after_ms = 50.0;
@@ -249,6 +245,30 @@ TEST(WireBodies, MalformedLeaseBodiesThrowInsteadOfMisparsing) {
   EXPECT_THROW((void)decode_ack("dlsched-wire-ack 999\n"), Error);
 }
 
+TEST(WireBodies, VersionOneLeaseRequestsAndRetireGrantsAreRefused) {
+  // v1 lease requests carried a flag line between worker and shard; a v2
+  // decoder refuses any v1 header, even on a body of the v2 shape, and
+  // names the version it expects.
+  std::string v1 = encode_lease_request(LeaseRequestBody{});
+  const std::size_t version = v1.find(" 2\n");
+  ASSERT_NE(version, std::string::npos);
+  v1[version + 1] = '1';
+  try {
+    (void)decode_lease_request(v1);
+    ADD_FAILURE() << "a v1 lease request decoded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'dlsched-wire-lease-req 2'"),
+              std::string::npos)
+        << e.what();
+  }
+  // The lease grant has no 'r' kind any more.
+  std::string grant = encode_lease_grant(LeaseGrantBody{});
+  const std::size_t kind = grant.find("kind p");
+  ASSERT_NE(kind, std::string::npos);
+  grant[kind + 5] = 'r';
+  EXPECT_THROW((void)decode_lease_grant(grant), Error);
+}
+
 TEST(WireBodies, CanonicalJsonFieldListMatchesTheGridRowOrder) {
   experiments::JsonObject row;
   append_result_fields(row, sample_record());
@@ -265,7 +285,7 @@ TEST(WireBodies, CanonicalJsonFieldListMatchesTheGridRowOrder) {
   std::size_t at = 0;
   for (const char* field : expected) {
     const std::size_t found =
-        rendered.find("\"" + std::string(field) + "\":", at);
+        rendered.find(std::string("\"").append(field).append("\":"), at);
     ASSERT_NE(found, std::string::npos) << field << " missing or misordered";
     at = found;
   }
