@@ -849,12 +849,32 @@ std::string job_hash_hex(const std::string& solver,
 
 // --------------------------------------------------------------- batching --
 
+BatchOutcome run_batch_job(const BatchJobView& job) {
+  BatchOutcome outcome;
+  outcome.solver = job.solver;
+  try {
+    outcome.result = SolverRegistry::instance().run(job.solver, *job.request);
+    outcome.solved = true;
+    obs::ObsSpan validate_span("validate", "validate");
+    const auto start = std::chrono::steady_clock::now();
+    outcome.validation = validate(outcome.result.schedule_platform,
+                                  outcome.result.schedule);
+    outcome.validate_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    outcome.ok = outcome.validation.ok;
+  } catch (const std::exception& e) {
+    outcome.error = e.what();
+  }
+  return outcome;
+}
+
 std::vector<BatchOutcome> solve_batch(std::span<const BatchJobView> jobs,
                                       std::size_t threads,
                                       const BatchProgressHook& progress) {
   std::vector<BatchOutcome> outcomes(jobs.size());
   if (jobs.empty()) return outcomes;
-  const SolverRegistry& registry = SolverRegistry::instance();
   obs::ObsSpan batch_span("batch", "solve_batch");
   if (batch_span.active()) {
     batch_span.rename("solve_batch:" + std::to_string(jobs.size()));
@@ -902,21 +922,7 @@ std::vector<BatchOutcome> solve_batch(std::span<const BatchJobView> jobs,
       outcome.error = "cancelled by batch progress hook";
       return;
     }
-    try {
-      outcome.result = registry.run(job.solver, *job.request);
-      outcome.solved = true;
-      obs::ObsSpan validate_span("validate", "validate");
-      const auto start = std::chrono::steady_clock::now();
-      outcome.validation = validate(outcome.result.schedule_platform,
-                                    outcome.result.schedule);
-      outcome.validate_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      outcome.ok = outcome.validation.ok;
-    } catch (const std::exception& e) {
-      outcome.error = e.what();
-    }
+    outcome = run_batch_job(job);
     if (progress) {
       const std::lock_guard<std::mutex> lock(progress_mutex);
       const BatchProgress report{index, ++completed, primary_count,

@@ -266,6 +266,13 @@ struct BatchOutcome {
   double validate_seconds = 0.0;   ///< validator wall time (0 when deduped)
 };
 
+/// The one job body: runs `job.solver` on `*job.request` through the
+/// registry and checks the schedule with the independent validator,
+/// timing the check.  A throwing solver yields `solved == false` with the
+/// exception text in `error`, never an exception.  `solve_batch` and the
+/// experiment grid's shard pass both run every job through this.
+[[nodiscard]] BatchOutcome run_batch_job(const BatchJobView& job);
+
 /// Progress report delivered after each *primary* (non-deduped) batch job
 /// finishes.  `completed`/`total` count primary jobs only, so `completed ==
 /// total` on the last invocation.
@@ -301,7 +308,9 @@ using BatchProgressHook =
 /// Byte-identical (request, solver) jobs are solved and validated once;
 /// duplicates receive a copy of the outcome with `deduped` set.
 /// `progress`, when given, is called serially after each primary job and
-/// may cancel the remainder of the batch (see `BatchProgressHook`).
+/// may cancel the remainder of the batch (see `BatchProgressHook`); an
+/// exception thrown by the hook stops the pool and propagates out of
+/// `solve_batch` once every thread has joined.
 [[nodiscard]] std::vector<BatchOutcome> solve_batch(
     std::span<const BatchJob> jobs, std::size_t threads = 0,
     const BatchProgressHook& progress = {});

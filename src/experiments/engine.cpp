@@ -126,13 +126,13 @@ ExperimentSpec shrink(ExperimentSpec spec) {
 // ------------------------------------------------------------------- grid --
 //
 // The grid pipeline is sharded (experiments/shard.hpp): one shard per
-// (p, z) axis point, each executed through the cached, thread-pooled
-// `solve_batch` and emitted as soon as it completes.  Four execution modes
-// share the planner and the assembler, so their artifacts are
-// byte-identical over the same result cache:
+// (p, z, rep) axis point, executed through the cached, thread-pooled
+// `execute_shards`.  Four execution modes share the planner and the
+// assembler, so their artifacts are byte-identical over the same result
+// cache:
 //
-//   * in-process (default): shards run sequentially, rows stream into the
-//     artifact as each (p, z) slice finishes;
+//   * in-process (default): one pool runs every job of every shard, and
+//     the rows are assembled in planner order once it has joined;
 //   * `--workers N` and/or `--coordinator HOST:PORT`: a TCP lease board
 //     hands shards to worker processes -- N forked local ones (on an
 //     ephemeral loopback port when no coordinator address is given)
@@ -142,16 +142,17 @@ ExperimentSpec shrink(ExperimentSpec spec) {
 //     (for external orchestration across machines sharing the cache);
 //   * `--join`: no solving, just the deterministic fragment merge.
 
-/// In-process streaming execution: shards in planner order, each emitted
-/// on completion.
+/// In-process execution: every shard in one pool, assembled in planner
+/// order.
 void run_grid(const ExperimentSpec& spec, const RunOptions& options,
               ResultCache& cache, BenchJsonWriter* json, std::ostream* csv,
               RunSummary& summary, std::ostream& log) {
   const std::vector<CompiledShard> shards = plan_shards(spec);
   summary.shards = shards.size();
   ShardAssembler assembler(json, csv, summary, log);
-  for (const CompiledShard& shard : shards) {
-    assembler.consume(execute_shard(spec, shard, cache, options.threads));
+  for (const ShardResult& result :
+       execute_shards(spec, shards, cache, options.threads)) {
+    assembler.consume(result);
   }
   assembler.finish();
 }
@@ -160,29 +161,38 @@ void run_grid(const ExperimentSpec& spec, const RunOptions& options,
 void run_grid_slice(const ExperimentSpec& spec, const RunOptions& options,
                     ResultCache& cache, RunSummary& summary,
                     std::ostream& log) {
-  const std::vector<CompiledShard> shards = plan_shards(spec);
+  std::vector<CompiledShard> shards = plan_shards(spec);
+  const std::size_t shard_count = shards.size();
   ShardBoard board(board_directory(options.cache_dir, spec, shards));
   const std::string worker_id =
       "slice" + std::to_string(options.shard_index);
-  for (const CompiledShard& shard : shards) {
-    if (shard.index % options.shard_count != options.shard_index) continue;
-    ++summary.shards;
-    const ShardResult result =
-        execute_shard(spec, shard, cache, options.threads);
+  std::vector<CompiledShard> slice;
+  for (CompiledShard& shard : shards) {
+    if (shard.index % options.shard_count == options.shard_index) {
+      slice.push_back(std::move(shard));
+    }
+  }
+  summary.shards = slice.size();
+  const std::vector<ShardResult> results =
+      execute_shards(spec, slice, cache, options.threads);
+  for (std::size_t i = 0; i < slice.size(); ++i) {
+    const ShardResult& result = results[i];
     summary.jobs += result.jobs;
     summary.cache_hits += result.cache_hits;
     summary.deduped += result.deduped;
     summary.solved += result.solved;
     summary.failures += result.failures;
     summary.skipped += result.skipped;
-    board.publish(shard, serialize_shard_result(result), worker_id);
-    if (obs::Tracer::instance().enabled()) {
-      board.publish_trace(
-          shard, obs::encode_trace(obs::Tracer::instance().drain()),
-          worker_id);
-    }
+    board.publish(slice[i], serialize_shard_result(result), worker_id);
   }
-  log << "published " << summary.shards << " of " << shards.size()
+  // The slice ran as one pass, so its spans go out as one sidecar, next
+  // to its last fragment.
+  if (!slice.empty() && obs::Tracer::instance().enabled()) {
+    board.publish_trace(slice.back(),
+                        obs::encode_trace(obs::Tracer::instance().drain()),
+                        worker_id);
+  }
+  log << "published " << summary.shards << " of " << shard_count
       << " shard fragment(s) to " << board.directory()
       << "; assemble with --join once every slice has run\n";
 }

@@ -1,11 +1,11 @@
 // The fragment directory behind `--shard i/k` and `--join`.
 //
-// A `--shard` slice executes its static share of the plan and publishes
-// each finished shard as a fragment file in a board directory under the
+// A `--shard` slice executes its static share of the plan in one pass and
+// publishes each shard as a fragment file in a board directory under the
 // shared `ResultCache` directory; `--join` later loads every fragment and
 // assembles the artifacts.  Fragments are written temp + rename, so a
-// reader only ever sees a whole file.  Traced slices publish their spans
-// as a `.trace` sidecar next to each fragment.
+// reader only ever sees a whole file.  A traced slice publishes its spans
+// as one `.trace` sidecar next to its last fragment.
 //
 // Process fleets (`--workers N`, `--coordinator`) lease their shards from
 // the TCP board in service/coordinator.hpp.

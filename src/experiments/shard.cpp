@@ -1,14 +1,20 @@
 #include "experiments/shard.hpp"
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "experiments/engine.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/wire.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/table.hpp"
 
 namespace dlsched::experiments {
@@ -176,110 +182,212 @@ std::string plan_fingerprint(const std::vector<CompiledShard>& shards) {
 
 // --------------------------------------------------------------- execution --
 
-ShardResult execute_shard(const ExperimentSpec& spec,
-                          const CompiledShard& shard, ResultCache& cache,
-                          std::size_t threads) {
+namespace {
+
+/// Adds the cache counters moved since `before` to a shard's delta.
+void charge(CacheStats& delta, const CacheStats& before,
+            const CacheStats& now) {
+  delta.hits += now.hits - before.hits;
+  delta.misses += now.misses - before.misses;
+  delta.stores += now.stores - before.stores;
+}
+
+/// Renders one cell's rows (plus the aggregation inputs) into `result`.
+void render_cell(const ExperimentSpec& spec, const GridCell& cell,
+                 const std::vector<CachedSolve>& solves,
+                 ShardResult& result) {
+  double baseline_throughput = 0.0;
+  for (std::size_t i = 0; i < cell.slots.size(); ++i) {
+    if (cell.slots[i].solver == spec.baseline && solves[i].solved) {
+      baseline_throughput = solves[i].throughput;
+    }
+  }
+  result.rows.reserve(result.rows.size() + cell.slots.size());
+  for (std::size_t i = 0; i < cell.slots.size(); ++i) {
+    const GridSlot& slot = cell.slots[i];
+    const CachedSolve& s = solves[i];
+    if (!s.solved || !s.validated) ++result.failures;
+    ShardRow out;
+    out.solved = s.solved;
+    out.validated = s.validated;
+    out.p = cell.request.platform.size();
+    out.z = slot.z;
+    out.send_latency = cell.send_latency;
+    out.return_latency = cell.return_latency;
+    out.solver = slot.solver;
+    JsonObject row;
+    row.add("solver", slot.solver).add("p", out.p);
+    if (slot.z) row.add("z", *slot.z);
+    if (cell.send_latency) row.add("send_latency", *cell.send_latency);
+    if (cell.return_latency) {
+      row.add("return_latency", *cell.return_latency);
+    }
+    row.add("rep", slot.rep).add("seed", slot.seed);
+    row.add("solved", s.solved);
+    if (!s.solved) {
+      row.add("error", s.error);
+    } else {
+      // One field list for every result emitter (the grid baselines are
+      // byte-compared in CI, so the order lives in exactly one place).
+      service::append_result_fields(row, s);
+      out.throughput = s.throughput;
+      out.wall_seconds = s.wall_seconds;
+      if (!spec.baseline.empty() && baseline_throughput > 0.0) {
+        out.has_ratio = true;
+        out.ratio = s.throughput / baseline_throughput;
+      }
+    }
+    out.json = row.render();
+    result.rows.push_back(std::move(out));
+  }
+}
+
+}  // namespace
+
+std::vector<ShardResult> execute_shards(const ExperimentSpec& spec,
+                                        std::span<const CompiledShard> shards,
+                                        ResultCache& cache,
+                                        std::size_t threads) {
   obs::ObsSpan span("shard", "execute");
-  if (span.active()) span.rename("execute:" + shard.id);
-  ShardResult result;
-  result.id = shard.id;
-  result.index = shard.index;
-  const CacheStats before = cache.stats;
+  if (span.active()) {
+    span.rename(shards.size() == 1
+                    ? "execute:" + shards.front().id
+                    : "execute:" + std::to_string(shards.size()) + "-shards");
+  }
 
-  for (const GridCell& cell : shard.cells) {
-    result.jobs += cell.slots.size();
-    result.skipped += cell.skipped;
+  /// One job: its place in the grid, its cache identity, and the slots of
+  /// its cell deduped onto it.
+  struct Job {
+    std::size_t shard = 0, cell = 0, slot = 0;
+    std::string hash, key;
+    std::vector<std::size_t> followers;
+  };
+  std::vector<ShardResult> results(shards.size());
+  // solves[shard][cell][slot]: the compact record each row renders from.
+  std::vector<std::vector<std::vector<CachedSolve>>> solves(shards.size());
+  std::vector<Job> jobs;  // the primary misses the pool runs
+  // Jobs whose key an earlier cell also missed: a cell-by-cell run finds
+  // that solve in the cache, so these are looked up after the pool.
+  std::vector<Job> deferred;
 
-    // ----- cache pass, then one thread-pooled batch over the misses -------
-    std::vector<CachedSolve> solves(cell.slots.size());
-    std::vector<BatchJobView> views;
-    std::vector<std::size_t> view_slot;
-    std::vector<std::pair<std::string, std::string>> view_keys;  // hash, key
-    for (std::size_t i = 0; i < cell.slots.size(); ++i) {
-      const GridSlot& slot = cell.slots[i];
-      const std::string key = job_canonical_key(slot.solver, cell.request);
-      const std::string hash = job_hash_from_key(key);
-      if (std::optional<CachedSolve> hit = cache.lookup(hash, key)) {
-        solves[i] = std::move(*hit);
-        ++result.cache_hits;
-        continue;
-      }
-      views.push_back({slot.solver, &cell.request});
-      view_slot.push_back(i);
-      view_keys.emplace_back(hash, key);
-    }
-    // Checkpoint each finished job into the cache immediately (the hook
-    // is serialized by solve_batch): if this process dies mid-shard, a
-    // re-run over the same cache replays its finished jobs as hits.
-    const BatchProgressHook hook = [&](const BatchProgress& progress,
-                                       const BatchOutcome& outcome) {
-      cache.store(view_keys[progress.job_index].first,
-                  view_keys[progress.job_index].second,
-                  cached_from_outcome(outcome));
-      return true;
-    };
-    const std::vector<BatchOutcome> outcomes =
-        solve_batch(std::span<const BatchJobView>(views), threads, hook);
-    for (std::size_t v = 0; v < outcomes.size(); ++v) {
-      solves[view_slot[v]] = cached_from_outcome(outcomes[v]);
-      if (outcomes[v].deduped) {
-        ++result.deduped;
-      } else {
-        ++result.solved;  // stored by the checkpoint hook already
-      }
-    }
-
-    // ----- render rows + the aggregation inputs ---------------------------
-    double baseline_throughput = 0.0;
-    for (std::size_t i = 0; i < cell.slots.size(); ++i) {
-      if (cell.slots[i].solver == spec.baseline && solves[i].solved) {
-        baseline_throughput = solves[i].throughput;
-      }
-    }
-    result.rows.reserve(result.rows.size() + cell.slots.size());
-    for (std::size_t i = 0; i < cell.slots.size(); ++i) {
-      const GridSlot& slot = cell.slots[i];
-      const CachedSolve& s = solves[i];
-      if (!s.solved || !s.validated) ++result.failures;
-      ShardRow out;
-      out.solved = s.solved;
-      out.validated = s.validated;
-      out.p = cell.request.platform.size();
-      out.z = slot.z;
-      out.send_latency = cell.send_latency;
-      out.return_latency = cell.return_latency;
-      out.solver = slot.solver;
-      JsonObject row;
-      row.add("solver", slot.solver).add("p", out.p);
-      if (slot.z) row.add("z", *slot.z);
-      if (cell.send_latency) row.add("send_latency", *cell.send_latency);
-      if (cell.return_latency) {
-        row.add("return_latency", *cell.return_latency);
-      }
-      row.add("rep", slot.rep).add("seed", slot.seed);
-      row.add("solved", s.solved);
-      if (!s.solved) {
-        row.add("error", s.error);
-      } else {
-        // One field list for every result emitter (the grid baselines are
-        // byte-compared in CI, so the order lives in exactly one place).
-        service::append_result_fields(row, s);
-        out.throughput = s.throughput;
-        out.wall_seconds = s.wall_seconds;
-        if (!spec.baseline.empty() && baseline_throughput > 0.0) {
-          out.has_ratio = true;
-          out.ratio = s.throughput / baseline_throughput;
+  // ----- cache pass over every cell; dedupe within each cell -------------
+  std::unordered_set<std::string> missed;  // hashes earlier cells missed
+  std::size_t pooled_slots = 0;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const CompiledShard& shard = shards[s];
+    ShardResult& result = results[s];
+    result.id = shard.id;
+    result.index = shard.index;
+    const CacheStats before = cache.stats;
+    solves[s].resize(shard.cells.size());
+    for (std::size_t c = 0; c < shard.cells.size(); ++c) {
+      const GridCell& cell = shard.cells[c];
+      result.jobs += cell.slots.size();
+      result.skipped += cell.skipped;
+      solves[s][c].resize(cell.slots.size());
+      std::unordered_map<std::string, std::size_t> primary_of;  // hash->job
+      for (std::size_t i = 0; i < cell.slots.size(); ++i) {
+        std::string key = job_canonical_key(cell.slots[i].solver,
+                                            cell.request);
+        std::string hash = job_hash_from_key(key);
+        if (cache.enabled() && missed.contains(hash)) {
+          deferred.push_back({s, c, i, std::move(hash), std::move(key), {}});
+          continue;
+        }
+        if (std::optional<CachedSolve> hit = cache.lookup(hash, key)) {
+          solves[s][c][i] = std::move(*hit);
+          ++result.cache_hits;
+          continue;
+        }
+        ++pooled_slots;
+        const auto [it, inserted] = primary_of.try_emplace(hash, jobs.size());
+        if (inserted) {
+          jobs.push_back({s, c, i, std::move(hash), std::move(key), {}});
+        } else {
+          jobs[it->second].followers.push_back(i);
         }
       }
-      out.json = row.render();
-      result.rows.push_back(std::move(out));
+      for (const auto& [hash, job] : primary_of) missed.insert(hash);
+    }
+    charge(result.cache, before, cache.stats);
+  }
+
+  // ----- one pool over every primary miss, largest platform first --------
+  // p is the cost proxy: the subset scans cost 2^p.  The sort is stable,
+  // so equal sizes keep planner order.
+  const auto cell_of = [&shards](const Job& job) -> const GridCell& {
+    return shards[job.shard].cells[job.cell];
+  };
+  std::vector<std::size_t> order(jobs.size());
+  for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cell_of(jobs[a]).request.platform.size() >
+                            cell_of(jobs[b]).request.platform.size();
+                   });
+  obs::MetricsRegistry::process().add("batch.jobs", pooled_slots);
+  obs::MetricsRegistry::process().add("batch.deduped",
+                                      pooled_slots - jobs.size());
+  // Each finished job is checkpointed into the cache at once (serialized
+  // by one mutex): if this process dies mid-grid, a re-run over the same
+  // cache replays its finished jobs as hits.
+  std::mutex store_mutex;
+  const auto solve_and_store = [&](const Job& job) {
+    const GridCell& cell = cell_of(job);
+    CachedSolve record = cached_from_outcome(
+        run_batch_job({cell.slots[job.slot].solver, &cell.request}));
+    const std::lock_guard<std::mutex> lock(store_mutex);
+    const CacheStats before = cache.stats;
+    cache.store(job.hash, job.key, record);
+    charge(results[job.shard].cache, before, cache.stats);
+    ++results[job.shard].solved;
+    solves[job.shard][job.cell][job.slot] = std::move(record);
+  };
+  {
+    obs::ObsSpan pool_span("batch", "pool");
+    if (pool_span.active()) {
+      pool_span.rename("pool:" + std::to_string(jobs.size()));
+    }
+    parallel_for(order.size(), threads,
+                 [&](std::size_t k) { solve_and_store(jobs[order[k]]); });
+  }
+
+  // ----- copies for the deduped slots, then the deferred lookups ---------
+  for (const Job& job : jobs) {
+    std::vector<CachedSolve>& cell = solves[job.shard][job.cell];
+    for (const std::size_t follower : job.followers) {
+      cell[follower] = cell[job.slot];
+      cell[follower].validate_seconds = 0.0;  // the validator ran once
+      ++results[job.shard].deduped;
+    }
+  }
+  for (const Job& job : deferred) {
+    const CacheStats before = cache.stats;
+    std::optional<CachedSolve> hit = cache.lookup(job.hash, job.key);
+    charge(results[job.shard].cache, before, cache.stats);
+    if (hit) {
+      solves[job.shard][job.cell][job.slot] = std::move(*hit);
+      ++results[job.shard].cache_hits;
+    } else {
+      solve_and_store(job);  // the earlier store did not land
     }
   }
 
-  result.cache.hits = cache.stats.hits - before.hits;
-  result.cache.misses = cache.stats.misses - before.misses;
-  result.cache.stores = cache.stats.stores - before.stores;
-  return result;
+  // ----- render rows in planner order ------------------------------------
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    for (std::size_t c = 0; c < shards[s].cells.size(); ++c) {
+      render_cell(spec, shards[s].cells[c], solves[s][c], results[s]);
+    }
+  }
+  return results;
+}
+
+ShardResult execute_shard(const ExperimentSpec& spec,
+                          const CompiledShard& shard, ResultCache& cache,
+                          std::size_t threads) {
+  return std::move(execute_shards(spec, std::span(&shard, 1), cache,
+                                  threads)
+                       .front());
 }
 
 // ----------------------------------------------------------- serialization --

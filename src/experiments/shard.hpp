@@ -2,11 +2,11 @@
 //
 // A Grid spec's sweep is embarrassingly parallel across its (p, z) axis
 // points; this module slices the compiled grid into one shard per
-// (p, z, repetition) point so rows stream out as slices complete instead
-// of after one monolithic batch, and so independent worker processes can
-// lease slices from the coordinator (service/coordinator.hpp), which
-// grants the first pending shard in planner order, with weights fine
-// enough to balance.  Shard ids are stable
+// (p, z, repetition) point so independent worker processes can lease
+// slices from the coordinator (service/coordinator.hpp), which grants the
+// first pending shard in planner order, with weights fine enough to
+// balance.  In one process, `execute_shards` runs every job of every
+// shard through one pool.  Shard ids are stable
 // content-derived hashes built from the `job_hash_hex` identities of the
 // jobs inside a shard: every process that plans the same spec computes the
 // same ids with no coordination, and any change to the spec's axes, seed,
@@ -25,6 +25,7 @@
 #include <iosfwd>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,11 +122,22 @@ struct ShardResult {
   std::vector<ShardRow> rows;
 };
 
-/// Executes one shard: per cell, a cache pass, a thread-pooled
-/// `solve_batch` over the misses, and row rendering.  Cells run in order.
-/// Completed jobs are checkpointed into the cache as they finish (via the
-/// batch progress hook), so a process killed mid-shard keeps its finished
-/// solves as cache hits for the next run over the same cache.
+/// Executes shards with no barrier between them: a cache pass over every
+/// cell, dedupe of byte-identical jobs within each cell, then ONE pool of
+/// `threads` over every remaining job of every shard, claimed largest p
+/// first (stable in planner order), and row rendering once the pool has
+/// joined.  Each finished job is checkpointed into the cache as it
+/// completes, so a process killed mid-run keeps its finished solves as
+/// cache hits for the next run over the same cache.  A job whose key an
+/// earlier cell also missed is read back from the cache after the pool,
+/// exactly as a shard-by-shard run would have found it.  Results come back
+/// in the order of `shards`, each with its own counters and cache delta,
+/// equal to `execute_shard` applied shard by shard.
+[[nodiscard]] std::vector<ShardResult> execute_shards(
+    const ExperimentSpec& spec, std::span<const CompiledShard> shards,
+    ResultCache& cache, std::size_t threads);
+
+/// `execute_shards` over one shard.
 [[nodiscard]] ShardResult execute_shard(const ExperimentSpec& spec,
                                         const CompiledShard& shard,
                                         ResultCache& cache,
@@ -143,7 +155,7 @@ struct ShardResult {
 /// Deterministic merge: consumes shard results strictly in planner order,
 /// streams their rows into the BENCH JSON writer, accumulates the figure
 /// groups and the run counters, and on `finish` renders the log table and
-/// the CSV -- the one emission path shared by the in-process streaming
+/// the CSV -- the one emission path shared by the in-process
 /// run, the forked multi-worker run and `--join`, which is what makes
 /// their artifacts byte-identical.
 class ShardAssembler {

@@ -1,21 +1,11 @@
 #include "util/error.hpp"
 
-#include <sstream>
+#include <utility>
 
 namespace dlsched {
 
-namespace {
-std::string decorate(const std::string& message, const char* file, int line) {
-  std::ostringstream out;
-  out << message << " (" << file << ":" << line << ")";
-  return out.str();
-}
-}  // namespace
-
 Error::Error(std::string message, const char* file, int line)
-    : std::runtime_error(decorate(message, file, line)),
-      file_(file),
-      line_(line) {}
+    : std::runtime_error(std::move(message)), file_(file), line_(line) {}
 
 namespace detail {
 void throw_error(const std::string& message, const char* file, int line) {

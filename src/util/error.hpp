@@ -1,10 +1,11 @@
 // Error handling primitives for dlsched.
 //
 // The library throws `dlsched::Error` (a std::runtime_error subclass that
-// records the throwing location) for precondition violations and unexpected
-// states.  `DLSCHED_EXPECT` guards public-API preconditions; it is always
-// compiled in -- scheduling bugs that slip past preconditions produce wrong
-// schedules silently, which is far worse than the cost of a branch.
+// records the throwing location beside the message) for precondition
+// violations and unexpected states.  `DLSCHED_EXPECT` guards public-API
+// preconditions; it is always compiled in -- scheduling bugs that slip
+// past preconditions produce wrong schedules silently, which is far worse
+// than the cost of a branch.
 #pragma once
 
 #include <stdexcept>
@@ -12,8 +13,10 @@
 
 namespace dlsched {
 
-/// Library-wide exception type.  Carries the source location of the throw so
-/// failures inside deeply nested solver code remain diagnosable.
+/// Library-wide exception type.  `what()` is the message alone, fit for a
+/// user-facing `error:` line; `file()`/`line()` keep the source location of
+/// the throw so failures inside deeply nested solver code remain
+/// diagnosable.
 class Error : public std::runtime_error {
  public:
   Error(std::string message, const char* file, int line);

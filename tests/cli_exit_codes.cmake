@@ -8,7 +8,8 @@
 # expect_exit(<code> <stdout-regex> <binary> [args...]): runs the binary and
 # requires exit status <code> (a signal never compares equal).  A nonzero
 # code also needs stderr to be one line starting with "error:"; a zero
-# code needs stdout to match <stdout-regex>.
+# code needs stdout to match <stdout-regex>.  The "error:" line is the
+# message alone: a source location such as "engine.cpp:42" fails the case.
 function(expect_exit code stdout_regex binary)
   execute_process(COMMAND ${binary} ${ARGN}
                   RESULT_VARIABLE status
@@ -24,6 +25,10 @@ function(expect_exit code stdout_regex binary)
   string(STRIP "${err}" err)
   if(NOT code EQUAL 0 AND NOT err MATCHES "^error: [^\n]+$")
     message(SEND_ERROR "${label}: want a one-line 'error:' message, got '${err}'")
+    return()
+  endif()
+  if(err MATCHES "\\.(cpp|hpp):[0-9]+")
+    message(SEND_ERROR "${label}: the 'error:' line names a source location: '${err}'")
     return()
   endif()
   if(code EQUAL 0 AND NOT out MATCHES "${stdout_regex}")

@@ -447,5 +447,182 @@ TEST(ShardScheduler, DistributedFlagsRejectNonGridAndCachelessRuns) {
   EXPECT_THROW((void)run_spec(small_grid_spec(), bad_slice), Error);
 }
 
+// ------------------------------------------------- one pool, every shard --
+
+/// A latency surface: 2 p x 1 z x 2 reps = 4 shards of 2 x 2 latency
+/// cells, so a pool claiming the largest p first runs jobs out of planner
+/// order.
+ExperimentSpec latency_grid_spec() {
+  ExperimentSpec spec = small_grid_spec();
+  spec.name = "shard_latency_test";
+  spec.generator = "correlated";
+  spec.workers = {3, 5};
+  spec.z_values = {0.5};
+  spec.send_latencies = {0.0, 0.01};
+  spec.return_latencies = {0.005, 0.02};
+  spec.precision = Precision::Exact;
+  spec.solvers = {"affine_fifo", "affine_greedy", "fifo_optimal"};
+  spec.baseline = "affine_fifo";
+  return spec;
+}
+
+/// A row with its run-dependent fields masked: the timings, and the
+/// limb-arena pool hits, which depend on the jobs the same thread ran
+/// before.
+std::string masked(const std::string& row) {
+  std::string out;
+  std::size_t from = 0;
+  for (const std::string field :  // in the order rows carry them
+       {"\"arena_pool_hits\": ", "\"wall_seconds\": ",
+        "\"validate_seconds\": "}) {
+    const std::size_t at = row.find(field, from);
+    if (at == std::string::npos) continue;
+    const std::size_t start = at + field.size();
+    out.append(row, from, start - from).append("T");
+    from = row.find_first_of(",}", start);
+  }
+  out.append(row, from, std::string::npos);
+  return out;
+}
+
+void expect_same_results(const std::vector<ShardResult>& pooled,
+                         const std::vector<ShardResult>& serial) {
+  ASSERT_EQ(pooled.size(), serial.size());
+  for (std::size_t s = 0; s < pooled.size(); ++s) {
+    const ShardResult& a = pooled[s];
+    const ShardResult& b = serial[s];
+    SCOPED_TRACE("shard " + std::to_string(s));
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.index, b.index);
+    EXPECT_EQ(a.jobs, b.jobs);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.deduped, b.deduped);
+    EXPECT_EQ(a.solved, b.solved);
+    EXPECT_EQ(a.failures, b.failures);
+    EXPECT_EQ(a.skipped, b.skipped);
+    EXPECT_EQ(a.cache.hits, b.cache.hits);
+    EXPECT_EQ(a.cache.misses, b.cache.misses);
+    EXPECT_EQ(a.cache.stores, b.cache.stores);
+    ASSERT_EQ(a.rows.size(), b.rows.size());
+    for (std::size_t r = 0; r < a.rows.size(); ++r) {
+      EXPECT_EQ(masked(a.rows[r].json), masked(b.rows[r].json));
+      EXPECT_EQ(a.rows[r].solver, b.rows[r].solver);
+      EXPECT_EQ(a.rows[r].solved, b.rows[r].solved);
+      EXPECT_EQ(a.rows[r].validated, b.rows[r].validated);
+      EXPECT_EQ(a.rows[r].p, b.rows[r].p);
+      EXPECT_EQ(a.rows[r].throughput, b.rows[r].throughput);
+      EXPECT_EQ(a.rows[r].has_ratio, b.rows[r].has_ratio);
+      EXPECT_EQ(a.rows[r].ratio, b.rows[r].ratio);
+    }
+  }
+}
+
+TEST(ShardPool, AllShardsAtOnceEqualShardByShard) {
+  // The second spec repeats a p value, so two shards plan identical
+  // requests: shard by shard, the later one hits what the earlier one
+  // stored, and the one-pool pass must count it the same way.
+  ExperimentSpec repeated = latency_grid_spec();
+  repeated.workers = {5, 3, 5};
+  for (const ExperimentSpec& spec : {latency_grid_spec(), repeated}) {
+    const std::vector<CompiledShard> shards = plan_shards(spec);
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(spec.name + ", " + std::to_string(shards.size()) +
+                   " shards, threads " + std::to_string(threads));
+      ScratchDir scratch("pool");
+      ResultCache pooled_cache(scratch.dir() + "/pooled");
+      const std::vector<ShardResult> pooled =
+          execute_shards(spec, shards, pooled_cache, threads);
+      ResultCache serial_cache(scratch.dir() + "/serial");
+      std::vector<ShardResult> serial;
+      for (const CompiledShard& shard : shards) {
+        serial.push_back(execute_shard(spec, shard, serial_cache, threads));
+      }
+      expect_same_results(pooled, serial);
+      EXPECT_EQ(pooled_cache.stats.hits, serial_cache.stats.hits);
+      EXPECT_EQ(pooled_cache.stats.misses, serial_cache.stats.misses);
+      EXPECT_EQ(pooled_cache.stats.stores, serial_cache.stats.stores);
+      std::size_t solved = 0;
+      for (const ShardResult& result : pooled) solved += result.solved;
+      EXPECT_GT(solved, 0u);
+    }
+  }
+}
+
+TEST(ShardPool, WarmCacheArtifactMatchesTheShardByShardPath) {
+  ScratchDir scratch("warmpool");
+  const ExperimentSpec spec = latency_grid_spec();
+  std::ostringstream log;
+  RunOptions options;
+  options.out_json = scratch.file("pooled.json");
+  options.out_csv = scratch.file("pooled.csv");
+  options.cache_dir = scratch.dir() + "/cache";
+  options.threads = 4;
+  options.log = &log;
+  const RunSummary cold = run_spec(spec, options);
+  EXPECT_GT(cold.solved, 0u);
+  EXPECT_EQ(cold.failures, 0u);
+
+  // The pre-pool emission path: execute_shard per shard, straight into
+  // the assembler, over the now-warm cache.
+  ResultCache cache(options.cache_dir);
+  RunSummary summary;
+  summary.spec = spec.name;
+  {
+    std::ofstream json(scratch.file("serial.json"));
+    std::ofstream csv(scratch.file("serial.csv"));
+    BenchJsonWriter writer(json, spec, grid_solvers(spec));
+    ShardAssembler assembler(&writer, &csv, summary, log);
+    for (const CompiledShard& shard : plan_shards(spec)) {
+      assembler.consume(execute_shard(spec, shard, cache, 4));
+    }
+    assembler.finish();
+    writer.finish();
+  }
+  EXPECT_EQ(summary.cache_hits, cold.jobs);
+  EXPECT_EQ(summary.solved, 0u);
+  EXPECT_EQ(slurp(options.out_json), slurp(scratch.file("serial.json")));
+  EXPECT_EQ(slurp(options.out_csv), slurp(scratch.file("serial.csv")));
+
+  // And the pooled path over the warm cache replays the same bytes.
+  RunOptions warm = options;
+  warm.out_json = scratch.file("warm.json");
+  warm.out_csv = scratch.file("warm.csv");
+  const RunSummary replay = run_spec(spec, warm);
+  EXPECT_EQ(replay.cache_hits, cold.jobs);
+  EXPECT_EQ(slurp(options.out_json), slurp(warm.out_json));
+  EXPECT_EQ(slurp(options.out_csv), slurp(warm.out_csv));
+}
+
+TEST(ShardPool, DedupeStaysWithinACell) {
+  // A repeated latency value plans two cells with identical requests, and
+  // a repeated solver two identical slots in each cell.  Only the slot
+  // pair is deduped; with a cache, the repeated cell reads the first
+  // one's solves back as hits, as a cell-by-cell run always did.
+  ExperimentSpec spec = latency_grid_spec();
+  spec.repetitions = 1;
+  spec.send_latencies = {0.01, 0.01};
+  spec.return_latencies = {0.005};
+  spec.solvers = {"affine_fifo", "affine_greedy", "affine_greedy"};
+  std::ostringstream log;
+  RunOptions options;
+  options.threads = 4;
+  options.log = &log;
+  // 2 shards x 2 cells x 3 slots.
+  const RunSummary uncached = run_spec(spec, options);
+  EXPECT_EQ(uncached.jobs, 12u);
+  EXPECT_EQ(uncached.deduped, 4u);
+  EXPECT_EQ(uncached.solved, 8u);
+  EXPECT_EQ(uncached.cache_hits, 0u);
+
+  ScratchDir scratch("dedupe");
+  options.cache_dir = scratch.dir() + "/cache";
+  const RunSummary cached = run_spec(spec, options);
+  EXPECT_EQ(cached.jobs, 12u);
+  EXPECT_EQ(cached.deduped, 2u);
+  EXPECT_EQ(cached.solved, 4u);
+  EXPECT_EQ(cached.cache_hits, 6u);
+  EXPECT_EQ(cached.failures, 0u);
+}
+
 }  // namespace
 }  // namespace dlsched::experiments

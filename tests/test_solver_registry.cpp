@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 
 #include "core/solver.hpp"
 #include "platform/generators.hpp"
@@ -374,6 +375,48 @@ TEST(SolveBatch, ProgressHookCanCancelTheRemainder) {
     EXPECT_TRUE(outcomes[i].cancelled) << i;
     EXPECT_NE(outcomes[i].error.find("cancelled"), std::string::npos);
   }
+}
+
+TEST(SolveBatch, AThrowingProgressHookPropagatesInsteadOfAborting) {
+  // The grid's checkpoint hook throws when a cache entry cannot be
+  // written; on a pool thread that used to reach std::terminate.
+  Rng rng(23);
+  std::vector<BatchJob> jobs;
+  for (int i = 0; i < 6; ++i) {
+    BatchJob job{"lifo", {}};
+    job.request.platform = gen::random_star(4, rng, 0.5);
+    jobs.push_back(std::move(job));
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    std::size_t calls = 0;
+    try {
+      (void)solve_batch(jobs, threads,
+                        [&](const BatchProgress&, const BatchOutcome&) -> bool {
+                          ++calls;  // serialized by solve_batch
+                          throw std::runtime_error("cannot write cache entry");
+                        });
+      ADD_FAILURE() << "expected the hook's exception, threads " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "cannot write cache entry");
+    }
+    // The pool stopped claiming jobs: at most one hook call per thread.
+    EXPECT_GE(calls, 1u);
+    EXPECT_LE(calls, threads);
+  }
+}
+
+TEST(SolveBatch, RunBatchJobTurnsASolverExceptionIntoAnError) {
+  // An unknown solver name throws inside the registry: the job body
+  // reports it as an error, never rethrows.
+  const SolveRequest request = request_for(all_solver_platform());
+  const BatchOutcome outcome = run_batch_job({"no_such_solver", &request});
+  EXPECT_FALSE(outcome.solved);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.solver, "no_such_solver");
+  EXPECT_FALSE(outcome.error.empty());
+  const BatchOutcome solved = run_batch_job({"lifo", &request});
+  EXPECT_TRUE(solved.solved);
+  EXPECT_TRUE(solved.ok) << solved.error;
 }
 
 }  // namespace

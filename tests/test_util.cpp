@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -22,8 +24,9 @@ TEST(Error, CarriesLocationAndMessage) {
     DLSCHED_FAIL("boom");
     FAIL() << "should have thrown";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("test_util.cpp"), std::string::npos);
+    // The message alone: it ends up on users' one-line `error:` output.
+    EXPECT_STREQ(e.what(), "boom");
+    EXPECT_NE(std::string(e.file()).find("test_util.cpp"), std::string::npos);
     EXPECT_GT(e.line(), 0);
   }
 }
@@ -256,6 +259,39 @@ TEST(ParallelFor, OneThreadRunsInlineInIndexOrder) {
   parallel_for(1, 8, [&](std::size_t) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
   });
+}
+
+TEST(ParallelFor, AThrowingBodyStopsThePoolAndRethrowsAfterTheJoin) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    std::atomic<int> running{0};
+    std::atomic<std::size_t> started{0};
+    try {
+      parallel_for(1000, threads, [&](std::size_t i) {
+        started.fetch_add(1);
+        if (i == 2) throw std::runtime_error("body 2");
+        running.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        running.fetch_sub(1);
+      });
+      ADD_FAILURE() << "expected the body's exception, threads " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "body 2");
+    }
+    EXPECT_EQ(running.load(), 0) << "a body outlived the call";
+    EXPECT_LT(started.load(), 100u) << "the pool kept claiming indices";
+  }
+}
+
+TEST(ParallelFor, OneOfManyExceptionsPropagates) {
+  std::atomic<std::size_t> thrown{0};
+  EXPECT_THROW(parallel_for(64, 4,
+                            [&](std::size_t) {
+                              thrown.fetch_add(1);
+                              throw std::logic_error("every body throws");
+                            }),
+               std::logic_error);
+  EXPECT_GE(thrown.load(), 1u);
+  EXPECT_LE(thrown.load(), 4u);  // one claim per thread, then the pool stops
 }
 
 }  // namespace
