@@ -180,21 +180,39 @@ int cmd_stats(const CliArgs& args) {
   }
 }
 
+/// One subcommand: its accepted options (space-separated, without the
+/// "--") and its body.  Any other option is refused before the body runs.
+struct Command {
+  const char* name;
+  const char* options;
+  int (*run)(const CliArgs&);
+};
+
+constexpr Command kCommands[] = {
+    {"record", "out requests distinct p seed solver", cmd_record},
+    {"run", "socket stream concurrency json dump", cmd_run},
+    {"stats", "socket watch", cmd_stats},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const CliArgs args = CliArgs::parse(argc, argv, {"help"});
     if (args.has("help")) return usage(std::cout, 0);
-    if (args.positional().empty()) return usage(std::cerr, 2);
-    const std::string& command = args.positional().front();
-    if (command == "record") return cmd_record(args);
-    if (command == "run") return cmd_run(args);
-    if (command == "stats") return cmd_stats(args);
-    std::cerr << "unknown command '" << command << "'\n";
-    return usage(std::cerr, 2);
+    if (args.positional().empty()) {
+      check_options(args, "dlsched_replay", "");
+      return usage(std::cerr, 2);
+    }
+    const std::string& name = args.positional().front();
+    for (const Command& command : kCommands) {
+      if (name != command.name) continue;
+      check_options(args, command.name, command.options);
+      return command.run(args);
+    }
+    DLSCHED_FAIL("unknown command '" + name + "' (record, run or stats)");
   } catch (const std::exception& e) {
-    std::cerr << "dlsched_replay: " << e.what() << '\n';
+    std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
 }

@@ -1,10 +1,8 @@
 #include "core/solver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
-#include <mutex>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -870,9 +868,8 @@ BatchOutcome run_batch_job(const BatchJobView& job) {
   return outcome;
 }
 
-std::vector<BatchOutcome> solve_batch(std::span<const BatchJobView> jobs,
-                                      std::size_t threads,
-                                      const BatchProgressHook& progress) {
+std::vector<BatchOutcome> solve_batch(std::span<const BatchJob> jobs,
+                                      std::size_t threads) {
   std::vector<BatchOutcome> outcomes(jobs.size());
   if (jobs.empty()) return outcomes;
   obs::ObsSpan batch_span("batch", "solve_batch");
@@ -890,9 +887,8 @@ std::vector<BatchOutcome> solve_batch(std::span<const BatchJobView> jobs,
   {
     obs::ObsSpan dedupe_span("batch", "dedupe");
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      DLSCHED_EXPECT(jobs[i].request != nullptr, "null request in batch job");
       const auto [it, inserted] = first_by_key.try_emplace(
-          job_hash_hex(jobs[i].solver, *jobs[i].request), i);
+          job_hash_hex(jobs[i].solver, jobs[i].request), i);
       primary_of[i] = it->second;
       if (inserted) ++primary_count;
     }
@@ -900,40 +896,12 @@ std::vector<BatchOutcome> solve_batch(std::span<const BatchJobView> jobs,
   obs::MetricsRegistry::process().add("batch.jobs", jobs.size());
   obs::MetricsRegistry::process().add("batch.deduped",
                                       jobs.size() - primary_count);
-  // Follower lists, reported to the progress hook as the per-primary
-  // attribution view (`BatchProgress::duplicates`).  Built once up front;
-  // read-only while the pool runs.
-  std::vector<std::vector<std::size_t>> followers_of(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (primary_of[i] != i) followers_of[primary_of[i]].push_back(i);
-  }
 
-  std::atomic<bool> stop{false};
-  std::mutex progress_mutex;
-  std::size_t completed = 0;  // guarded by progress_mutex
-
-  auto run_job = [&](std::size_t index) {
-    const BatchJobView& job = jobs[index];
-    BatchOutcome& outcome = outcomes[index];
-    outcome.solver = job.solver;
+  parallel_for(jobs.size(), threads, [&](std::size_t index) {
     if (primary_of[index] != index) return;  // copied after the pool joins
-    if (stop.load(std::memory_order_relaxed)) {
-      outcome.cancelled = true;
-      outcome.error = "cancelled by batch progress hook";
-      return;
-    }
-    outcome = run_batch_job(job);
-    if (progress) {
-      const std::lock_guard<std::mutex> lock(progress_mutex);
-      const BatchProgress report{index, ++completed, primary_count,
-                                 followers_of[index]};
-      if (!progress(report, outcome)) {
-        stop.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-
-  parallel_for(jobs.size(), threads, run_job);
+    outcomes[index] =
+        run_batch_job({jobs[index].solver, &jobs[index].request});
+  });
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (primary_of[i] == i) continue;
@@ -942,17 +910,6 @@ std::vector<BatchOutcome> solve_batch(std::span<const BatchJobView> jobs,
     outcomes[i].validate_seconds = 0.0;  // the validator did not run again
   }
   return outcomes;
-}
-
-std::vector<BatchOutcome> solve_batch(std::span<const BatchJob> jobs,
-                                      std::size_t threads,
-                                      const BatchProgressHook& progress) {
-  std::vector<BatchJobView> views;
-  views.reserve(jobs.size());
-  for (const BatchJob& job : jobs) {
-    views.push_back({job.solver, &job.request});
-  }
-  return solve_batch(views, threads, progress);
 }
 
 std::vector<BatchOutcome> solve_batch_across_solvers(
@@ -967,19 +924,6 @@ std::vector<BatchOutcome> solve_batch_across_solvers(
       continue;
     }
     jobs.push_back({name, request});
-  }
-  return solve_batch(jobs, threads);
-}
-
-std::vector<BatchOutcome> solve_batch_across_platforms(
-    const std::string& solver, std::span<const StarPlatform> platforms,
-    const SolveRequest& base_request, std::size_t threads) {
-  std::vector<BatchJob> jobs;
-  jobs.reserve(platforms.size());
-  for (const StarPlatform& platform : platforms) {
-    BatchJob job{solver, base_request};
-    job.request.platform = platform;
-    jobs.push_back(std::move(job));
   }
   return solve_batch(jobs, threads);
 }

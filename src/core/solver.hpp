@@ -239,9 +239,9 @@ struct BatchJob {
   SolveRequest request;
 };
 
-/// Non-owning batch job: the experiment grid stores each distinct request
-/// once and fans solver names over pointers, so enqueueing a p x z x seed x
-/// solver grid never copies a platform.
+/// Non-owning job: the experiment grid stores each distinct request once
+/// and fans solver names over pointers, and the daemon solves straight out
+/// of its decoded wire request, so neither copies a platform.
 struct BatchJobView {
   std::string solver;
   const SolveRequest* request = nullptr;
@@ -260,45 +260,16 @@ struct BatchOutcome {
   /// an earlier job in the batch: the outcome is a copy and neither the
   /// solver nor the validator ran again for it.
   bool deduped = false;
-  /// True when the job never ran because a progress hook cancelled the
-  /// batch; `solved` is false and `error` says so.
-  bool cancelled = false;
   double validate_seconds = 0.0;   ///< validator wall time (0 when deduped)
 };
 
 /// The one job body: runs `job.solver` on `*job.request` through the
 /// registry and checks the schedule with the independent validator,
 /// timing the check.  A throwing solver yields `solved == false` with the
-/// exception text in `error`, never an exception.  `solve_batch` and the
-/// experiment grid's shard pass both run every job through this.
+/// exception text in `error`, never an exception.  `solve_batch`, the
+/// experiment grid's shard pass and the daemon's solver threads all run
+/// every job through this.
 [[nodiscard]] BatchOutcome run_batch_job(const BatchJobView& job);
-
-/// Progress report delivered after each *primary* (non-deduped) batch job
-/// finishes.  `completed`/`total` count primary jobs only, so `completed ==
-/// total` on the last invocation.
-struct BatchProgress {
-  std::size_t job_index = 0;   ///< index of the just-finished job
-  std::size_t completed = 0;   ///< primary jobs finished so far
-  std::size_t total = 0;       ///< primary jobs in the batch
-  /// Batch indices of the jobs deduped onto this primary (byte-identical
-  /// solver + request), in job order.  This is the per-job attribution
-  /// view: the outcome passed alongside answers `job_index` AND every
-  /// index listed here, so a consumer tracking individual requests (the
-  /// service daemon) can settle all of them the moment the primary
-  /// finishes instead of waiting for the pool to join.  The span points
-  /// into batch-call-lifetime storage; copy it to keep it past the hook.
-  std::span<const std::size_t> duplicates;
-};
-
-/// Optional per-job completion hook for `solve_batch`: invoked serially
-/// (never concurrently, under an internal mutex) from worker threads after
-/// each primary job's outcome -- including validation -- is final.  The
-/// experiment layer uses it to checkpoint finished results into the
-/// result cache mid-shard.
-/// Returning false cancels the batch: jobs not yet started are marked
-/// `cancelled` instead of being run (in-flight jobs still finish).
-using BatchProgressHook =
-    std::function<bool(const BatchProgress&, const BatchOutcome&)>;
 
 /// Runs every job on a pool of `threads` std::threads (0 = hardware
 /// concurrency, capped at the job count) and validates each produced
@@ -307,31 +278,14 @@ using BatchProgressHook =
 /// outcome with `solved == false` instead of aborting the batch.
 /// Byte-identical (request, solver) jobs are solved and validated once;
 /// duplicates receive a copy of the outcome with `deduped` set.
-/// `progress`, when given, is called serially after each primary job and
-/// may cancel the remainder of the batch (see `BatchProgressHook`); an
-/// exception thrown by the hook stops the pool and propagates out of
-/// `solve_batch` once every thread has joined.
 [[nodiscard]] std::vector<BatchOutcome> solve_batch(
-    std::span<const BatchJob> jobs, std::size_t threads = 0,
-    const BatchProgressHook& progress = {});
-
-/// The non-owning primitive the owning overload and the experiment grid
-/// are built on.  Every `request` pointer must stay valid for the call.
-[[nodiscard]] std::vector<BatchOutcome> solve_batch(
-    std::span<const BatchJobView> jobs, std::size_t threads = 0,
-    const BatchProgressHook& progress = {});
+    std::span<const BatchJob> jobs, std::size_t threads = 0);
 
 /// Portfolio convenience: one request across many solvers.  Inapplicable
 /// solvers are skipped (not errors) when `skip_inapplicable`.
 [[nodiscard]] std::vector<BatchOutcome> solve_batch_across_solvers(
     const SolveRequest& request, std::span<const std::string> solvers,
     std::size_t threads = 0, bool skip_inapplicable = true);
-
-/// Sweep convenience: one solver across many platforms (all other request
-/// fields shared).
-[[nodiscard]] std::vector<BatchOutcome> solve_batch_across_platforms(
-    const std::string& solver, std::span<const StarPlatform> platforms,
-    const SolveRequest& base_request = {}, std::size_t threads = 0);
 
 /// Registry name of the adapter wrapping heuristic `h` ("inc_c", "inc_w",
 /// "lifo", "dec_c", "random_fifo").

@@ -67,10 +67,7 @@ CachedRun run_solver_cached(ResultCache& cache, const std::string& solver,
   if (std::optional<CachedSolve> hit = cache.lookup(hash, key)) {
     return {*hit, true};
   }
-  const BatchJobView view{solver, &request};
-  const std::vector<BatchOutcome> outcomes =
-      solve_batch(std::span<const BatchJobView>(&view, 1), 1);
-  CachedSolve solve = cached_from_outcome(outcomes.front());
+  CachedSolve solve = cached_from_outcome(run_batch_job({solver, &request}));
   cache.store(hash, key, solve);
   return {std::move(solve), false};
 }

@@ -1,5 +1,5 @@
 // The experiment engine: compiles an `ExperimentSpec` into a job grid,
-// executes it through the cached, sharded `solve_batch` pipeline, and
+// executes it through the cached shard pool (experiments/shard.hpp), and
 // streams machine-readable JSON (`BENCH_<spec>.json`) plus the figure-data
 // CSV.  The engine is the single entry point behind `dlsched_bench` and
 // the CLI's `bench` subcommand; adding a sweep means writing a spec, not a
@@ -25,7 +25,7 @@ struct RunOptions {
   std::string out_json;    ///< BENCH_*.json path; empty = don't write
   std::string out_csv;     ///< figure-data CSV path; empty = don't write
   std::string cache_dir;   ///< result-cache directory; empty = no cache
-  std::size_t threads = 0; ///< solve_batch pool size (0 = hardware)
+  std::size_t threads = 0; ///< shard pool size (0 = hardware)
   bool quick = false;      ///< shrink axes (CI smoke / tests)
   std::ostream* log = nullptr;  ///< tables + summary; null = std::cout
 

@@ -80,7 +80,7 @@ struct Endpoint {
 class FrameServer {
  public:
   /// Answers one frame payload with one encoded reply frame.  Runs on the
-  /// connection's thread and may block (the daemon waits for its batch).
+  /// connection's thread and may block (the daemon waits for its solve).
   using Handler = std::function<std::string(const std::string& payload)>;
   struct Route {
     FrameType type;

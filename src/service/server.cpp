@@ -13,19 +13,34 @@ namespace dlsched::service {
 Server::Server(ServerConfig config) : config_(std::move(config)) {
   DLSCHED_EXPECT(!config_.socket_path.empty(), "serve: empty socket path");
   DLSCHED_EXPECT(config_.queue_capacity > 0, "serve: zero queue capacity");
-  DLSCHED_EXPECT(config_.batch_max > 0, "serve: zero batch size");
   if (!config_.cache_dir.empty()) {
     cache_ = experiments::ResultCache(config_.cache_dir);
   }
   const int listen_fd = net::listen_unix(config_.socket_path);
-  batcher_thread_ = std::thread([this] { batcher_loop(); });
-  frames_.emplace(listen_fd, stats_,
-                  std::vector<net::FrameServer::Route>{
-                      {FrameType::SolveRequest,
-                       [this](const std::string& payload) {
-                         return handle_solve_payload(payload);
-                       }}},
-                  "client");
+  const std::size_t threads =
+      config_.solve_threads != 0
+          ? config_.solve_threads
+          : std::max(1u, std::thread::hardware_concurrency());
+  try {
+    for (std::size_t t = 0; t < threads; ++t) {
+      solver_threads_.emplace_back([this] { solver_loop(); });
+    }
+    frames_.emplace(listen_fd, stats_,
+                    std::vector<net::FrameServer::Route>{
+                        {FrameType::SolveRequest,
+                         [this](const std::string& payload) {
+                           return handle_solve_payload(payload);
+                         }}},
+                    "client");
+  } catch (...) {
+    // A constructor that throws runs no destructor: join the solver
+    // threads already started and release the socket here.
+    begin_drain();
+    for (std::thread& thread : solver_threads_) thread.join();
+    ::close(listen_fd);
+    ::unlink(config_.socket_path.c_str());
+    throw;
+  }
 }
 
 Server::~Server() { stop(); }
@@ -44,9 +59,10 @@ void Server::stop() {
   stopped_ = true;
 
   begin_drain();
-  // The batcher exits once draining and empty; every queued request has
-  // been answered by then, and a draining daemon admits no new work.
-  if (batcher_thread_.joinable()) batcher_thread_.join();
+  // A solver thread exits once draining and the queue is empty; the last
+  // one out has answered every queued request and every follower, and a
+  // draining daemon admits no new work.
+  for (std::thread& thread : solver_threads_) thread.join();
   if (frames_) frames_->stop();
   ::unlink(config_.socket_path.c_str());
 }
@@ -88,13 +104,13 @@ std::string Server::handle_solve_payload(const std::string& payload) {
     if (std::optional<SolveRecord> hit =
             cache_.lookup(pending->hash, pending->key)) {
       stats_.on_admitted();
-      stats_.on_batch_started(1);  // bookkeeping: leaves `queued` at once
+      stats_.on_request_started();  // bookkeeping: leaves `queued` at once
       const double latency =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         admitted_at)
               .count();
       stats_.on_completed(ServiceStats::Completion::CacheHit, latency);
-      stats_.on_batch_finished(1);
+      stats_.on_request_finished();
       return encode_frame(FrameType::SolveResult,
                           encode_result_body(*hit));
     }
@@ -118,136 +134,97 @@ std::string Server::handle_solve_payload(const std::string& payload) {
           encode_reject_body(
               {config_.retry_after_ms, "admission queue full"}));
     }
+    // Counted under the queue lock, so no solver thread can take the
+    // request out of `queued` before it was counted in.
+    stats_.on_admitted();
     queue_.push_back(std::move(pending));
   }
-  stats_.on_admitted();
   queue_cv_.notify_one();
-  // Close the admission span before blocking on the batcher: the wait is
-  // the batch/settle spans' time, not admission's.
+  // Close the admission span before blocking on the solver threads: the
+  // wait is the solve/settle spans' time, not admission's.
   admit_span.finish();
   return response.get();
 }
 
-// ----------------------------------------------------------- batcher side --
+// ------------------------------------------------------------ solver side --
 
-void Server::batcher_loop() {
-  const auto wait = std::chrono::duration<double, std::milli>(
-      config_.batch_wait_ms);
+void Server::solver_loop() {
   for (;;) {
-    std::vector<std::unique_ptr<Pending>> batch;
+    std::unique_ptr<Pending> pending;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [this] { return !queue_.empty() || draining_; });
       if (queue_.empty()) return;  // draining and drained
-      // Gather window: give concurrent clients a moment to land in the
-      // same micro-batch (that is where dedupe and pool sharing pay).
-      if (queue_.size() < config_.batch_max && config_.batch_wait_ms > 0) {
-        queue_cv_.wait_for(lock, wait, [this] {
-          return queue_.size() >= config_.batch_max;
-        });
-      }
-      const std::size_t take = std::min(queue_.size(), config_.batch_max);
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
+      pending = std::move(queue_.front());
+      queue_.pop_front();
+      stats_.on_request_started();
+      // An identical request is being solved: follow it, its primary
+      // answers this one too.
+      auto [entry, fresh] = in_flight_.try_emplace(pending->hash);
+      if (!fresh) {
+        entry->second.push_back(std::move(pending));
+        continue;
       }
     }
-    stats_.on_batch_started(batch.size());
-    run_batch(std::move(batch));
+    solve(std::move(pending));
   }
 }
 
-void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
-  obs::ObsSpan batch_span("daemon", "batch");
-  if (batch_span.active()) {
-    batch_span.rename("batch:" + std::to_string(batch.size()));
+void Server::solve(std::unique_ptr<Pending> primary) {
+  obs::ObsSpan job_span("daemon", "job");
+  // Solve-time cache re-check.  The admission-time lookup runs before an
+  // identical request finishes, so a duplicate can be queued after its
+  // twin left the in-flight map; the twin stored its record before
+  // leaving, so this lookup answers the duplicate with the twin's exact
+  // bytes instead of solving it again.  Identical requests are thus
+  // byte-identical answers in every interleaving: follower of the same
+  // solve, this lookup, or the admission-time lookup.
+  std::optional<SolveRecord> record;
+  {
+    const std::lock_guard<std::mutex> lock(cache_mutex_);
+    record = cache_.lookup(primary->hash, primary->key);
   }
-  const auto settle = [&](Pending& pending, const std::string& frame,
-                          ServiceStats::Completion kind) {
-    if (pending.fulfilled) return;
-    const obs::ObsSpan settle_span("daemon", "settle");
-    pending.fulfilled = true;
-    const double latency =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      pending.admitted_at)
-            .count();
-    stats_.on_completed(kind, latency);
-    pending.response.set_value(frame);
-  };
-
-  // Batch-time cache re-check.  The admission-time lookup runs before an
-  // identical in-flight request finishes, so a duplicate can slip into a
-  // *later* batch than its twin; because batches run serially, that twin
-  // has stored its record by the time this batch starts, and the re-check
-  // answers the duplicate with the twin's exact bytes instead of solving
-  // it again.  After this pass, identical requests are byte-identical
-  // answers in every interleaving: same batch via dedupe, earlier batch
-  // via this lookup, earlier response via the admission-time lookup.
-  std::vector<std::size_t> live;  // batch indices that still need solving
-  live.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    std::optional<SolveRecord> hit;
-    {
-      const std::lock_guard<std::mutex> lock(cache_mutex_);
-      hit = cache_.lookup(batch[i]->hash, batch[i]->key);
-    }
-    if (hit) {
-      settle(*batch[i],
-             encode_frame(FrameType::SolveResult, encode_result_body(*hit)),
-             ServiceStats::Completion::CacheHit);
-    } else {
-      live.push_back(i);
-    }
-  }
-
-  std::vector<BatchJobView> views;
-  views.reserve(live.size());
-  for (const std::size_t i : live) {
-    views.push_back({batch[i]->wire.solver, &batch[i]->wire.request});
-  }
-
-  // The hook answers a primary AND its deduped followers the moment the
-  // primary's outcome is final -- all with the primary's bytes, so
-  // concurrent identical requests are answered identically.
-  const BatchProgressHook hook = [&](const BatchProgress& progress,
-                                     const BatchOutcome& outcome) {
-    Pending& primary = *batch[live[progress.job_index]];
-    const SolveRecord record = record_from_outcome(outcome);
+  ServiceStats::Completion kind = ServiceStats::Completion::CacheHit;
+  if (!record) {
+    kind = ServiceStats::Completion::Solved;
+    record = record_from_outcome(
+        run_batch_job({primary->wire.solver, &primary->wire.request}));
     // The record round-trips bit-exactly, so a later cache hit re-encodes
     // to these same bytes: cold and warm answers are byte-identical.
-    const std::string body = encode_result_body(record);
     try {
       const std::lock_guard<std::mutex> lock(cache_mutex_);
-      cache_.store(primary.hash, primary.key, record);
+      cache_.store(primary->hash, primary->key, *record);
     } catch (const std::exception&) {
       // The cache is an accelerator; a full disk must not fail the solve.
     }
-    const std::string frame = encode_frame(FrameType::SolveResult, body);
-    settle(primary, frame, ServiceStats::Completion::Solved);
-    for (const std::size_t follower : progress.duplicates) {
-      settle(*batch[live[follower]], frame,
-             ServiceStats::Completion::Deduped);
-    }
-    return true;
-  };
-
-  const std::vector<BatchOutcome> outcomes =
-      solve_batch(std::span<const BatchJobView>(views),
-                  config_.solve_threads, hook);
-
-  // Belt and braces: anything the hook did not settle (it settles every
-  // job today) is answered from the joined outcomes so no client hangs.
-  for (std::size_t v = 0; v < live.size(); ++v) {
-    Pending& pending = *batch[live[v]];
-    if (pending.fulfilled) continue;
-    const std::string body =
-        encode_result_body(record_from_outcome(outcomes[v]));
-    settle(pending, encode_frame(FrameType::SolveResult, body),
-           outcomes[v].deduped ? ServiceStats::Completion::Deduped
-                               : ServiceStats::Completion::Solved);
   }
-  stats_.on_batch_finished(batch.size());
+  const std::string frame =
+      encode_frame(FrameType::SolveResult, encode_result_body(*record));
+  job_span.finish();
+
+  std::vector<std::unique_ptr<Pending>> followers;
+  {
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    auto entry = in_flight_.find(primary->hash);
+    followers = std::move(entry->second);
+    in_flight_.erase(entry);
+  }
+  settle(*primary, frame, kind);
+  for (const std::unique_ptr<Pending>& follower : followers) {
+    settle(*follower, frame, ServiceStats::Completion::Deduped);
+  }
+}
+
+void Server::settle(Pending& pending, const std::string& frame,
+                    ServiceStats::Completion kind) {
+  const obs::ObsSpan settle_span("daemon", "settle");
+  const double latency =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    pending.admitted_at)
+          .count();
+  stats_.on_completed(kind, latency);
+  stats_.on_request_finished();
+  pending.response.set_value(frame);
 }
 
 }  // namespace dlsched::service

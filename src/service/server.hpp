@@ -4,20 +4,23 @@
 // AF_UNIX socket, behind the shared connection server (service/net.hpp
 // `FrameServer`, which also answers StatsQuery).  The request lifecycle:
 //
-//   accept -> decode frame -> admission -> micro-batch -> respond
+//   accept -> decode frame -> admission -> solver thread -> respond
 //
 //   * admission: a `ResultCache` short-circuit answers repeat queries
 //     without queueing; fresh work enters a *bounded* queue.  A full
 //     queue (or a draining daemon) answers Reject-with-retry-after
 //     immediately -- backpressure is explicit, clients never hang.
-//   * micro-batching: one batcher thread gathers admitted requests (up
-//     to `batch_max`, waiting `batch_wait_ms` after the first) and runs
-//     them through `solve_batch`, so concurrent identical requests
-//     collapse via within-batch dedupe and the solver pool is shared.
-//   * responses are the encoded wire result body -- deduped followers
-//     receive the *same bytes* as their primary, and every solve is
-//     stored to the cache, so a daemon answer is byte-identical to a
-//     direct `solve_batch` + cache round-trip of the same request.
+//   * solver threads: `solve_threads` long-lived threads each take one
+//     queued request at a time and run it through `run_batch_job` (solve
+//     + independent validation), so distinct misses solve concurrently.
+//     An in-flight map keyed by job hash collapses concurrent identical
+//     requests: a duplicate attaches to the running solve as a follower.
+//   * responses are the encoded wire result body -- followers receive the
+//     *same bytes* as their primary, and every solve is stored to the
+//     cache before its hash leaves the in-flight map, so a later
+//     duplicate finds one or the other and a daemon answer is
+//     byte-identical to a direct `solve_batch` + cache round-trip of the
+//     same request.
 //
 // A stats mailbox (service/stats.hpp) is queryable over the same socket.
 // Shutdown is a graceful drain: finish queued and in-flight work, refuse
@@ -35,6 +38,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "experiments/cache.hpp"
@@ -46,17 +50,15 @@ namespace dlsched::service {
 
 struct ServerConfig {
   std::string socket_path;       ///< AF_UNIX path; replaced if stale
-  std::size_t solve_threads = 0; ///< solve_batch pool (0 = hardware)
+  std::size_t solve_threads = 0;    ///< solver threads (0 = hardware)
   std::size_t queue_capacity = 64;  ///< bounded admission queue
-  std::size_t batch_max = 16;       ///< micro-batch size cap
-  double batch_wait_ms = 2.0;       ///< gather window after the first job
   std::string cache_dir;            ///< ResultCache dir; empty = disabled
   double retry_after_ms = 25.0;     ///< advertised backpressure delay
 };
 
 class Server {
  public:
-  /// Binds, listens and spawns the accept + batcher threads; throws
+  /// Binds, listens and spawns the accept + solver threads; throws
   /// `dlsched::Error` when the socket cannot be set up.
   explicit Server(ServerConfig config);
   ~Server();
@@ -85,27 +87,32 @@ class Server {
     std::string key;
     std::chrono::steady_clock::time_point admitted_at;
     std::promise<std::string> response;  ///< an encoded frame
-    bool fulfilled = false;
   };
 
-  void batcher_loop();
+  void solver_loop();
   /// Decodes and admits one SolveRequest payload; returns the encoded
   /// response frame to write back.
   [[nodiscard]] std::string handle_solve_payload(const std::string& payload);
-  void run_batch(std::vector<std::unique_ptr<Pending>> batch);
+  /// Answers `primary` (registered in `in_flight_`) and its followers.
+  void solve(std::unique_ptr<Pending> primary);
+  void settle(Pending& pending, const std::string& frame,
+              ServiceStats::Completion kind);
 
   ServerConfig config_;
   ServiceStats stats_;
-
-  std::thread batcher_thread_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<std::unique_ptr<Pending>> queue_;  // guarded by queue_mutex_
   bool draining_ = false;                       // guarded by queue_mutex_
+  /// Job hash -> followers of the request being solved under that hash.
+  std::unordered_map<std::string, std::vector<std::unique_ptr<Pending>>>
+      in_flight_;  // guarded by queue_mutex_
 
   std::mutex cache_mutex_;
   experiments::ResultCache cache_;  // guarded by cache_mutex_
+
+  std::vector<std::thread> solver_threads_;  // use everything above
 
   std::optional<net::FrameServer> frames_;  // started last, stopped first
   bool stopped_ = false;  // stop() ran (main-thread use only)

@@ -26,10 +26,10 @@ void ServiceStats::on_rejected() { registry_.add(kRejected); }
 
 void ServiceStats::on_protocol_error() { registry_.add(kProtocolErrors); }
 
-void ServiceStats::on_batch_started(std::size_t n) {
+void ServiceStats::on_request_started() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  state_.queued -= n < state_.queued ? n : state_.queued;
-  state_.in_flight += n;
+  if (state_.queued > 0) --state_.queued;
+  ++state_.in_flight;
 }
 
 void ServiceStats::on_completed(Completion kind, double latency_seconds) {
@@ -47,9 +47,9 @@ void ServiceStats::on_completed(Completion kind, double latency_seconds) {
   registry_.observe(kLatency, latency_seconds);
 }
 
-void ServiceStats::on_batch_finished(std::size_t n) {
+void ServiceStats::on_request_finished() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  state_.in_flight -= n < state_.in_flight ? n : state_.in_flight;
+  if (state_.in_flight > 0) --state_.in_flight;
 }
 
 void ServiceStats::set_draining(bool draining) {

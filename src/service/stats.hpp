@@ -46,10 +46,10 @@ struct StatsSnapshot {
   std::uint64_t rejected = 0;    ///< backpressure / drain rejects
   std::uint64_t cache_hits = 0;  ///< answered from the ResultCache
   std::uint64_t solved = 0;      ///< answered by running a solver
-  std::uint64_t deduped = 0;     ///< answered as within-batch duplicates
+  std::uint64_t deduped = 0;     ///< answered as followers of a solve
   std::uint64_t protocol_errors = 0;  ///< malformed frames / bodies seen
-  std::size_t queued = 0;        ///< current: admitted, not yet batched
-  std::size_t in_flight = 0;     ///< current: inside solve_batch
+  std::size_t queued = 0;        ///< current: admitted, not yet started
+  std::size_t in_flight = 0;     ///< current: taken by a solver thread
   bool draining = false;
   LatencyHistogram latency;      ///< admission-to-response, completed only
   CoordinatorGauges board;       ///< cluster claim board (coordinator only)
@@ -61,13 +61,13 @@ class ServiceStats {
   void on_admitted();
   void on_rejected();
   void on_protocol_error();
-  /// `queued - n`, `in_flight + n`: a micro-batch left the queue.
-  void on_batch_started(std::size_t n);
+  /// `queued - 1`, `in_flight + 1`: a request left the queue.
+  void on_request_started();
   /// One request completed (`kind` routes the cumulative counter).
   enum class Completion { CacheHit, Solved, Deduped };
   void on_completed(Completion kind, double latency_seconds);
-  /// A batch's requests all completed: `in_flight - n`.
-  void on_batch_finished(std::size_t n);
+  /// A started request was answered: `in_flight - 1`.
+  void on_request_finished();
   void set_draining(bool draining);
   /// Publishes a fresh claim-board gauge snapshot (coordinator only; the
   /// coordinator owns the board state under its own lock and mirrors it

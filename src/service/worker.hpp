@@ -25,7 +25,7 @@ namespace dlsched::service {
 struct TcpWorkerOptions {
   std::string endpoint;      ///< "tcp://host:port" (or "host:port")
   std::string worker_id;     ///< unique per worker; names leases
-  std::size_t threads = 1;   ///< per-shard solve_batch thread count
+  std::size_t threads = 1;   ///< per-shard pool thread count
   /// The coordinator's `CoordinatorConfig::fleet_token`, sent with every
   /// lease request and push (empty for an open coordinator).
   std::string fleet_token;

@@ -87,4 +87,17 @@ std::int64_t CliArgs::get_int(const std::string& option,
   }
 }
 
+void check_options(const CliArgs& args, std::string_view command,
+                   std::string_view accepted) {
+  std::vector<std::string> names = split(accepted, ' ');
+  std::erase(names, std::string());  // "" accepts nothing
+  for (const std::string& name : args.option_names()) {
+    if (std::find(names.begin(), names.end(), name) != names.end()) continue;
+    std::string list;
+    for (const std::string& option : names) list += " --" + option;
+    DLSCHED_FAIL("unknown option --" + name + " for '" + std::string(command) +
+                 "' (accepted:" + (list.empty() ? " none" : list) + ")");
+  }
+}
+
 }  // namespace dlsched

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dlsched {
@@ -37,5 +38,11 @@ class CliArgs {
   std::vector<std::string> positional_;
   std::map<std::string, std::string> options_;
 };
+
+/// Throws on the first option in `args` that is not in `accepted`
+/// (space-separated names without the "--"), naming `command` and the
+/// accepted list, so a mistyped option fails instead of being ignored.
+void check_options(const CliArgs& args, std::string_view command,
+                   std::string_view accepted);
 
 }  // namespace dlsched

@@ -38,15 +38,14 @@ namespace detail {
 
 }  // namespace dlsched
 
-/// Precondition / invariant guard.  Always active.
-#define DLSCHED_EXPECT(cond, message)                                     \
-  do {                                                                    \
-    if (!(cond)) {                                                        \
-      ::dlsched::detail::throw_error(                                     \
-          std::string("precondition failed: ") + (message) + " [" #cond  \
-              "]",                                                        \
-          __FILE__, __LINE__);                                            \
-    }                                                                     \
+/// Precondition / invariant guard.  Always active.  The message is all
+/// `what()` says -- it reaches users as an `error:` line -- while
+/// `file()`/`line()` locate the failed check.
+#define DLSCHED_EXPECT(cond, message)                               \
+  do {                                                              \
+    if (!(cond)) {                                                  \
+      ::dlsched::detail::throw_error((message), __FILE__, __LINE__); \
+    }                                                               \
   } while (false)
 
 /// Unconditional failure (unreachable code paths, exhausted cases).

@@ -1,5 +1,6 @@
 // Tests of the dlsched_serve daemon: request lifecycle (start -> requests
 // -> drain), byte-identity of daemon answers against direct `solve_batch`,
+// concurrent solves of distinct misses, dedupe of identical ones,
 // deterministic backpressure (rejects surface with retry-after, nothing
 // hangs), protocol-error handling over a live socket, and the stats
 // mailbox.  All sockets live in the test temp directory.
@@ -9,6 +10,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -82,7 +84,6 @@ TEST(ServeDaemon, LifecycleRequestsDrainAndStats) {
   ServerConfig config;
   config.socket_path = paths.socket;
   config.cache_dir = paths.cache_dir;
-  config.batch_wait_ms = 0.0;
   Server server(config);
 
   const std::vector<SolveRequest> requests = distinct_requests(3, 5);
@@ -139,7 +140,9 @@ TEST(ServeDaemon, ColdAnswersMatchDirectSolveBatchModuloTiming) {
   const TestPaths paths = test_paths("cold");
   ServerConfig config;
   config.socket_path = paths.socket;  // no cache: every answer is a solve
-  config.batch_wait_ms = 0.0;
+  // One solver thread, like the direct call below: `arena_pool_hits`
+  // depends on the limb-arena history of the thread that solved.
+  config.solve_threads = 1;
   Server server(config);
 
   const std::vector<SolveRequest> requests = distinct_requests(3, 5);
@@ -172,7 +175,7 @@ TEST(ServeDaemon, WarmAnswersAreByteIdenticalToDirectSolveBatch) {
   const std::vector<SolveRequest> requests = distinct_requests(3, 5);
 
   // Seed the cache exactly the way the experiment engine does: a direct
-  // solve_batch whose hook stores every outcome.
+  // solve_batch, every outcome stored under its job hash.
   std::vector<std::string> expected_bodies(requests.size());
   {
     experiments::ResultCache cache(paths.cache_dir);
@@ -180,17 +183,11 @@ TEST(ServeDaemon, WarmAnswersAreByteIdenticalToDirectSolveBatch) {
     for (const SolveRequest& request : requests) {
       jobs.push_back({"fifo_optimal", request});
     }
-    const auto outcomes = solve_batch(
-        jobs, 1, [&](const BatchProgress& progress, const BatchOutcome& o) {
-          cache.store(
-              job_hash_hex(jobs[progress.job_index].solver,
-                           jobs[progress.job_index].request),
-              job_canonical_key(jobs[progress.job_index].solver,
-                                jobs[progress.job_index].request),
-              experiments::cached_from_outcome(o));
-          return true;
-        });
+    const std::vector<BatchOutcome> outcomes = solve_batch(jobs, 1);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      cache.store(job_hash_hex(jobs[i].solver, jobs[i].request),
+                  job_canonical_key(jobs[i].solver, jobs[i].request),
+                  experiments::cached_from_outcome(outcomes[i]));
       expected_bodies[i] =
           encode_result_body(record_from_outcome(outcomes[i]));
     }
@@ -219,18 +216,16 @@ TEST(ServeDaemon, ConcurrentIdenticalRequestsDedupeToIdenticalBytes) {
   const TestPaths paths = test_paths("dedupe");
   ServerConfig config;
   config.socket_path = paths.socket;
-  // A generous gather window so the concurrent clients land in one
-  // micro-batch and hit the within-batch dedupe path; the cache is on as
-  // a backstop (a straggler that misses the batch still gets the
-  // primary's bytes, because the stored record round-trips bit-exactly).
-  config.batch_wait_ms = 250.0;
+  // As many solver threads as clients, so identical requests really do
+  // race: each one follows the in-flight solve or finds its cached record
+  // (stored before the hash leaves the in-flight map), never solves again.
+  config.solve_threads = 4;
   config.cache_dir = paths.cache_dir;
   Server server(config);
 
   const SolveRequest request = distinct_requests(1, 5).front();
   constexpr std::size_t kClients = 4;
-  // Connect everyone up front so the solve frames land within the same
-  // gather window.
+  // Connect everyone up front so the solve frames arrive together.
   std::vector<std::unique_ptr<ServeClient>> conns;
   for (std::size_t c = 0; c < kClients; ++c) {
     conns.push_back(std::make_unique<ServeClient>(paths.socket));
@@ -252,11 +247,60 @@ TEST(ServeDaemon, ConcurrentIdenticalRequestsDedupeToIdenticalBytes) {
   }
   const StatsSnapshot stats = server.stats();
   EXPECT_EQ(stats.admitted, kClients);
-  // However the batches landed, every request completed by exactly one of
-  // the three answer paths.
+  // However the requests interleaved, one solve answered them all, and
+  // every request completed by exactly one of the three answer paths.
+  EXPECT_EQ(stats.solved, 1u);
   EXPECT_EQ(stats.solved + stats.deduped + stats.cache_hits, kClients);
   server.stop();
   fs::remove_all(paths.cache_dir);
+}
+
+TEST(ServeDaemon, DistinctMissesSolveConcurrently) {
+  const TestPaths paths = test_paths("conc");
+  ServerConfig config;
+  config.socket_path = paths.socket;
+  config.solve_threads = 2;
+  Server server(config);
+
+  // Two distinct slow misses: exhaustive searches under a wall-clock
+  // budget, each long enough to overlap the other.
+  std::vector<SolveRequest> slow;
+  for (SolveRequest request : distinct_requests(2, 9)) {
+    request.max_workers_brute = 9;
+    request.time_budget_seconds = 2.0;
+    slow.push_back(std::move(request));
+  }
+  const auto send = [&](const SolveRequest& request) {
+    ServeClient client(paths.socket);
+    const SolveReply reply = client.solve("brute_force", request);
+    EXPECT_EQ(reply.kind, SolveReply::Kind::Result);
+  };
+
+  std::thread a(send, std::cref(slow[0]));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.stats().in_flight < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "A never ran";
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  // B arrives while A is solving and must not wait for it: the second
+  // solver thread takes it at once.
+  std::thread b(send, std::cref(slow[1]));
+  const auto overlap_deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  bool overlapped = false;
+  while (std::chrono::steady_clock::now() < overlap_deadline) {
+    if (server.stats().in_flight == 2) {
+      overlapped = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_TRUE(overlapped) << "B queued behind A instead of solving";
+  a.join();
+  b.join();
+  EXPECT_EQ(server.stats().solved, 2u);
+  server.stop();
 }
 
 TEST(ServeDaemon, BackpressureRejectsWithRetryAfterInsteadOfHanging) {
@@ -264,14 +308,12 @@ TEST(ServeDaemon, BackpressureRejectsWithRetryAfterInsteadOfHanging) {
   ServerConfig config;
   config.socket_path = paths.socket;
   config.queue_capacity = 1;
-  config.batch_max = 1;
-  config.batch_wait_ms = 0.0;
   config.solve_threads = 1;
   config.retry_after_ms = 7.5;
   Server server(config);
 
-  // Job A occupies the batcher for a deterministic-enough window: an
-  // exhaustive search under a wall-clock budget.
+  // Job A occupies the only solver thread for a deterministic-enough
+  // window: an exhaustive search under a wall-clock budget.
   SolveRequest slow = distinct_requests(1, 9).front();
   slow.max_workers_brute = 9;
   slow.time_budget_seconds = 2.0;
@@ -281,7 +323,7 @@ TEST(ServeDaemon, BackpressureRejectsWithRetryAfterInsteadOfHanging) {
     const SolveReply reply = client.solve("brute_force", slow);
     EXPECT_EQ(reply.kind, SolveReply::Kind::Result);
   });
-  // Wait until A is inside solve_batch.
+  // Wait until the solver thread has taken A.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server.stats().in_flight < 1) {

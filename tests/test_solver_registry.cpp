@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <stdexcept>
 
 #include "core/solver.hpp"
 #include "platform/generators.hpp"
@@ -297,111 +295,14 @@ TEST(SolveBatch, OneSolverAcrossManyPlatforms) {
   for (int i = 0; i < 6; ++i) {
     platforms.push_back(gen::random_star(5, rng, 0.5));
   }
-  const auto outcomes =
-      solve_batch_across_platforms("fifo_optimal", platforms);
+  std::vector<BatchJob> jobs;
+  for (const StarPlatform& platform : platforms) {
+    jobs.push_back({"fifo_optimal", request_for(platform)});
+  }
+  const auto outcomes = solve_batch(jobs);
   ASSERT_EQ(outcomes.size(), platforms.size());
   for (const BatchOutcome& outcome : outcomes) {
     EXPECT_TRUE(outcome.ok) << outcome.error;
-  }
-}
-
-TEST(SolveBatch, ProgressHookSeesEveryPrimaryJobInOrder) {
-  Rng rng(21);
-  std::vector<BatchJob> jobs;
-  for (int i = 0; i < 4; ++i) {
-    BatchJob job{"lifo", {}};
-    job.request.platform = gen::random_star(4, rng, 0.5);
-    jobs.push_back(std::move(job));
-  }
-  jobs.push_back(jobs.back());  // a duplicate: deduped, never reported
-  std::vector<std::size_t> completed_counts;
-  std::size_t reported_total = 0;
-  const auto outcomes = solve_batch(
-      jobs, 2, [&](const BatchProgress& progress, const BatchOutcome& o) {
-        completed_counts.push_back(progress.completed);
-        reported_total = progress.total;
-        EXPECT_TRUE(o.solved);
-        return true;
-      });
-  ASSERT_EQ(outcomes.size(), 5u);
-  EXPECT_EQ(reported_total, 4u);  // primaries only
-  ASSERT_EQ(completed_counts.size(), 4u);
-  for (std::size_t i = 0; i < completed_counts.size(); ++i) {
-    EXPECT_EQ(completed_counts[i], i + 1);  // serialized, monotonic
-  }
-  EXPECT_TRUE(outcomes[4].deduped);
-}
-
-TEST(SolveBatch, ProgressHookReportsDedupedFollowersOfEachPrimary) {
-  const SolveRequest request = request_for(all_solver_platform());
-  std::vector<BatchJob> jobs(5);
-  jobs[0] = {"fifo_optimal", request};
-  jobs[1] = {"lifo", request};
-  jobs[2] = {"fifo_optimal", request};  // follower of 0
-  jobs[3] = {"fifo_optimal", request};  // follower of 0
-  jobs[4] = {"lifo", request};          // follower of 1
-  std::map<std::size_t, std::vector<std::size_t>> duplicates_of;
-  const auto outcomes = solve_batch(
-      jobs, 2, [&](const BatchProgress& progress, const BatchOutcome&) {
-        duplicates_of[progress.job_index].assign(
-            progress.duplicates.begin(), progress.duplicates.end());
-        return true;
-      });
-  ASSERT_EQ(outcomes.size(), 5u);
-  ASSERT_EQ(duplicates_of.size(), 2u);  // two primaries reported
-  EXPECT_EQ(duplicates_of.at(0), (std::vector<std::size_t>{2, 3}));
-  EXPECT_EQ(duplicates_of.at(1), (std::vector<std::size_t>{4}));
-}
-
-TEST(SolveBatch, ProgressHookCanCancelTheRemainder) {
-  Rng rng(22);
-  std::vector<BatchJob> jobs;
-  for (int i = 0; i < 5; ++i) {
-    BatchJob job{"lifo", {}};
-    job.request.platform = gen::random_star(4, rng, 0.5);
-    jobs.push_back(std::move(job));
-  }
-  // Single-threaded for a deterministic cut: cancel after the first job.
-  const auto outcomes =
-      solve_batch(jobs, 1, [](const BatchProgress& progress,
-                              const BatchOutcome&) {
-        return progress.completed < 1;
-      });
-  ASSERT_EQ(outcomes.size(), 5u);
-  EXPECT_TRUE(outcomes[0].solved);
-  EXPECT_FALSE(outcomes[0].cancelled);
-  for (std::size_t i = 1; i < outcomes.size(); ++i) {
-    EXPECT_FALSE(outcomes[i].solved) << i;
-    EXPECT_TRUE(outcomes[i].cancelled) << i;
-    EXPECT_NE(outcomes[i].error.find("cancelled"), std::string::npos);
-  }
-}
-
-TEST(SolveBatch, AThrowingProgressHookPropagatesInsteadOfAborting) {
-  // The grid's checkpoint hook throws when a cache entry cannot be
-  // written; on a pool thread that used to reach std::terminate.
-  Rng rng(23);
-  std::vector<BatchJob> jobs;
-  for (int i = 0; i < 6; ++i) {
-    BatchJob job{"lifo", {}};
-    job.request.platform = gen::random_star(4, rng, 0.5);
-    jobs.push_back(std::move(job));
-  }
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    std::size_t calls = 0;
-    try {
-      (void)solve_batch(jobs, threads,
-                        [&](const BatchProgress&, const BatchOutcome&) -> bool {
-                          ++calls;  // serialized by solve_batch
-                          throw std::runtime_error("cannot write cache entry");
-                        });
-      ADD_FAILURE() << "expected the hook's exception, threads " << threads;
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "cannot write cache entry");
-    }
-    // The pool stopped claiming jobs: at most one hook call per thread.
-    EXPECT_GE(calls, 1u);
-    EXPECT_LE(calls, threads);
   }
 }
 
